@@ -203,6 +203,9 @@ def compute_domain_stats(
     }
 
 
+_SCORE_TOLERANCE = 1e-9
+
+
 def score_filter(
     corpus: Sequence[Utterance],
     translations: Mapping[str, TranslationResult],
@@ -213,7 +216,9 @@ def score_filter(
 
     k is signed: negative values widen the kept set below the domain mean,
     positive values keep only above-average translations.  k=None keeps
-    everything.
+    everything.  The comparison allows a rounding margin of 1e-9, absolute
+    or relative to the mean, so that scores equal up to rounding are kept
+    or dropped together.
     """
     missing = sorted({u.domain for u in corpus} - set(stats))
     if missing:
@@ -225,7 +230,8 @@ def score_filter(
             kept.append(u)
             continue
         st = stats[u.domain]
-        if _normalized(u, translations) >= st.mean + k * st.stdev:
+        margin = _SCORE_TOLERANCE * max(1.0, abs(st.mean))
+        if _normalized(u, translations) >= st.mean + k * st.stdev - margin:
             kept.append(u)
         else:
             removed.append((u.id, BELOW_THRESHOLD))

@@ -2,15 +2,17 @@
 
 Potentials are linear: per-position emission weights indexed by extracted
 features plus a dense label-transition matrix.  The negative log-likelihood
-and its gradient are computed with the forward-backward recursions in log
-space; decoding uses Viterbi.  Sequences are batched by length so training
-stays fast at corpus scale, but the math is exactly the per-sequence
-textbook form.
+and its gradient come from a scaled forward-backward pass in probability
+space (Rabiner 1989): each forward step is normalised by its sum, so every
+step is a matrix product and log Z is the sum of the log normalisers.  A
+length group whose normalisers underflow, as at the huge trial steps of a
+line search, is recomputed in log space.  Decoding uses Viterbi.  Sequences
+are batched by length so training stays fast at corpus scale, but the math
+is exactly the per-sequence textbook form.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -18,8 +20,9 @@ import numpy as np
 from scipy import sparse
 from scipy.special import logsumexp
 
-from ..corpus import Catalog, CatalogEntry, SlotSpan, Utterance, make_span
+from ..corpus import Catalog, SlotSpan, Utterance, make_span
 from .features import Gazetteers, sequence_features
+from .modelio import dump_model, gazetteers_from_json, gazetteers_to_json, index_to_list, load_model
 from .optim import TrainingConfig, minimize
 
 OUTSIDE = "O"
@@ -126,145 +129,171 @@ class CrfModel:
             "version": 1,
             "l2": self.l2,
             "labels": list(self.labels),
-            "features": _index_to_list(self.feature_index),
+            "features": index_to_list(self.feature_index),
             "emissions": self.emissions.tolist(),
             "transitions": self.transitions.tolist(),
-            "gazetteers": _gazetteers_to_json(self.gazetteers),
+            "gazetteers": gazetteers_to_json(self.gazetteers),
         }
-        _dump_model(obj, path)
+        dump_model(obj, path)
 
     @classmethod
     def load(cls, path) -> "CrfModel":
-        obj = _load_model(path, "crf-model")
+        obj = load_model(path, "crf-model")
         return cls(
             labels=tuple(obj["labels"]),
             feature_index={f: i for i, f in enumerate(obj["features"])},
             emissions=np.asarray(obj["emissions"], dtype=float),
             transitions=np.asarray(obj["transitions"], dtype=float),
-            gazetteers=_gazetteers_from_json(obj["gazetteers"]),
+            gazetteers=gazetteers_from_json(obj["gazetteers"]),
             l2=obj["l2"],
         )
-
-
-def _index_to_list(index: dict[str, int]) -> list[str]:
-    out = [""] * len(index)
-    for f, i in index.items():
-        out[i] = f
-    return out
-
-
-def _gazetteers_to_json(gazetteers: Gazetteers) -> list:
-    return [
-        [t, [[list(e.tokens), e.weight] for e in gazetteers[t].entries]]
-        for t in sorted(gazetteers)
-    ]
-
-
-def _gazetteers_from_json(obj) -> dict[str, Catalog]:
-    return {
-        t: Catalog(t, tuple(CatalogEntry(tuple(tok), w) for tok, w in entries))
-        for t, entries in obj
-    }
-
-
-def _dump_model(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def _load_model(path, expected_format: str):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != expected_format or obj.get("version") != 1:
-        raise ValueError(
-            "%s is not a version-1 %s file" % (path, expected_format)
-        )
-    return obj
 
 
 # --- objective --------------------------------------------------------------
 
 
 class _Design:
-    """Sparse feature matrix and length-grouped label arrays for a corpus."""
+    """Sparse feature matrix and gold label counts for a corpus.
+
+    Sequences are grouped by length, and the rows of the feature matrix run
+    group by group, time-major within a group: the emission scores of a
+    group of N sequences of length T are one contiguous (T * N, L) block,
+    so the recursions step over contiguous (N, L) slices.
+    """
 
     def __init__(self, sequences, n_features: int, n_labels: int):
         # sequences: list of (list of per-position feature-id arrays, label ids)
-        self.n_labels = n_labels
+        by_length: dict[int, list[int]] = {}
+        for idx, (fid_lists, _) in enumerate(sequences):
+            by_length.setdefault(len(fid_lists), []).append(idx)
         rows, cols = [], []
-        offsets = []
+        gold = []
+        self.groups = []  # (first row, T, N)
         pos = 0
-        for fid_lists, _ in sequences:
-            offsets.append(pos)
-            for t, ids in enumerate(fid_lists):
-                rows.extend([pos + t] * len(ids))
-                cols.extend(ids.tolist())
-            pos += len(fid_lists)
-        self.n_positions = pos
+        for T in sorted(by_length):
+            members = by_length[T]
+            self.groups.append((pos, T, len(members)))
+            for t in range(T):
+                for i in members:
+                    ids = sequences[i][0][t]
+                    rows.extend([pos] * len(ids))
+                    cols.extend(ids.tolist())
+                    gold.append(sequences[i][1][t])
+                    pos += 1
         self.phi = sparse.csr_matrix(
             (np.ones(len(rows)), (rows, cols)),
             shape=(pos, n_features),
         )
-        by_length: dict[int, list[int]] = {}
-        for idx, (fid_lists, _) in enumerate(sequences):
-            by_length.setdefault(len(fid_lists), []).append(idx)
-        self.groups = []
-        for T in sorted(by_length):
-            members = by_length[T]
-            row_idx = np.asarray(
-                [[offsets[i] + t for t in range(T)] for i in members], dtype=np.int64
-            )
-            labels = np.asarray(
-                [sequences[i][1] for i in members], dtype=np.int64
-            )
-            self.groups.append((T, row_idx, labels))
+        # Feature/label and label-bigram counts of the gold sequences: the
+        # score of every gold path together, and the empirical side of the
+        # gradient.
+        gold_onehot = sparse.csr_matrix(
+            (np.ones(pos), (np.arange(pos), gold)), shape=(pos, n_labels)
+        )
+        self.gold_emissions = (self.phi.T @ gold_onehot).toarray()
+        self.gold_transitions = np.zeros((n_labels, n_labels))
+        for _, labels in sequences:
+            for a, b in zip(labels, labels[1:]):
+                self.gold_transitions[a, b] += 1.0
 
     def nll_and_grad(self, emissions: np.ndarray, transitions: np.ndarray, l2: float):
         """Regularized NLL and its gradient over the whole design."""
         M = np.asarray(self.phi @ emissions)
-        G_pos = np.zeros_like(M)
-        g_tr = np.zeros_like(transitions)
-        value = 0.0
-        for T, row_idx, labels in self.groups:
-            E = M[row_idx]  # (N, T, L)
-            N = E.shape[0]
-            alpha = np.empty_like(E)
-            alpha[:, 0] = E[:, 0]
-            for t in range(1, T):
-                alpha[:, t] = E[:, t] + logsumexp(
-                    alpha[:, t - 1][:, :, None] + transitions[None, :, :], axis=1
-                )
-            log_z = logsumexp(alpha[:, T - 1], axis=1)
-            beta = np.zeros_like(E)
-            for t in range(T - 2, -1, -1):
-                beta[:, t] = logsumexp(
-                    transitions[None, :, :]
-                    + (E[:, t + 1] + beta[:, t + 1])[:, None, :],
-                    axis=2,
-                )
-            node = np.exp(alpha + beta - log_z[:, None, None])
-            G_pos[row_idx] = node
-            G_pos[row_idx.ravel(), labels.ravel()] -= 1.0
-            for t in range(1, T):
-                pair = np.exp(
-                    alpha[:, t - 1][:, :, None]
-                    + transitions[None, :, :]
-                    + (E[:, t] + beta[:, t])[:, None, :]
-                    - log_z[:, None, None]
-                )
-                g_tr += pair.sum(axis=0)
-            np.subtract.at(
-                g_tr, (labels[:, :-1].ravel(), labels[:, 1:].ravel()), 1.0
-            )
-            gold_emission = np.take_along_axis(E, labels[:, :, None], axis=2).sum()
-            gold_transition = transitions[labels[:, :-1], labels[:, 1:]].sum()
-            value += float(log_z.sum() - gold_emission - gold_transition)
-        g_em = np.asarray(self.phi.T @ G_pos)
-        value += 0.5 * l2 * (float(np.sum(emissions**2)) + float(np.sum(transitions**2)))
-        g_em += l2 * emissions
+        G_pos = np.empty_like(M)
+        g_tr = -self.gold_transitions
+        log_z_total = 0.0
+        L = M.shape[1]
+        for start, T, N in self.groups:
+            block = slice(start, start + T * N)
+            E = M[block].reshape(T, N, L)
+            marginals = _scaled_forward_backward(E, transitions)
+            if marginals is None:
+                marginals = _log_forward_backward(E, transitions)
+            log_z, node, pair = marginals
+            G_pos[block] = node.reshape(T * N, L)
+            g_tr += pair
+            log_z_total += float(log_z.sum())
+        gold_score = float(np.sum(self.gold_emissions * emissions)) + float(
+            np.sum(self.gold_transitions * transitions)
+        )
+        value = log_z_total - gold_score + 0.5 * l2 * (
+            float(np.sum(emissions**2)) + float(np.sum(transitions**2))
+        )
+        g_em = np.asarray(self.phi.T @ G_pos) - self.gold_emissions + l2 * emissions
         g_tr += l2 * transitions
         return value, g_em, g_tr
+
+
+_TINY = np.finfo(float).tiny  # smallest normal positive float
+
+
+def _scaled_forward_backward(E: np.ndarray, transitions: np.ndarray):
+    """log Z, node marginals and summed pair marginals of one length group.
+
+    `E` holds the (T, N, L) emission scores of N sequences of length T.  The
+    recursions run in probability space on potentials shifted so that their
+    largest entry is 1, and each forward step is normalised by its sum s_t
+    (Rabiner's scaling): log Z = sum_t log s_t plus the shifts, and the
+    backward pass divides by the same s_t.  Returns None when a scaler is
+    not a normal positive float or a backward value is not finite -- weights
+    large enough to underflow a whole step, as the line search's longest
+    trial steps produce -- so that the caller can use the log-space form.
+    """
+    T, N, L = E.shape
+    top = transitions.max()
+    A = np.exp(transitions - top)
+    rowmax = E.max(axis=2, keepdims=True)
+    psi = np.exp(E - rowmax)
+    alpha = np.empty_like(psi)
+    scale = np.empty((T, N, 1))
+    for t in range(T):
+        a = psi[0] if t == 0 else (alpha[t - 1] @ A) * psi[t]
+        scale[t, :, 0] = a.sum(axis=1)
+        if not np.all(scale[t] >= _TINY):
+            return None
+        alpha[t] = a / scale[t]
+    beta = np.empty_like(psi)
+    beta[T - 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 2, -1, -1):
+            beta[t] = ((psi[t + 1] * beta[t + 1]) @ A.T) / scale[t + 1]
+    if not np.all(np.isfinite(beta)):
+        return None
+    log_z = np.log(scale).sum(axis=(0, 2)) + rowmax.sum(axis=(0, 2)) + (T - 1) * top
+    after = psi[1:] * beta[1:] / scale[1:]
+    pair = A * (alpha[:-1].reshape(-1, L).T @ after.reshape(-1, L))
+    return log_z, alpha * beta, pair
+
+
+def _log_forward_backward(E: np.ndarray, transitions: np.ndarray):
+    """The same marginals as `_scaled_forward_backward`, in log space.
+
+    Slower, through (N, L, L) temporaries, but free of underflow at any
+    weight scale.
+    """
+    T = E.shape[0]
+    alpha = np.empty_like(E)
+    alpha[0] = E[0]
+    for t in range(1, T):
+        alpha[t] = E[t] + logsumexp(
+            alpha[t - 1][:, :, None] + transitions[None, :, :], axis=1
+        )
+    log_z = logsumexp(alpha[T - 1], axis=1)
+    beta = np.zeros_like(E)
+    for t in range(T - 2, -1, -1):
+        beta[t] = logsumexp(
+            transitions[None, :, :] + (E[t + 1] + beta[t + 1])[:, None, :], axis=2
+        )
+    node = np.exp(alpha + beta - log_z[None, :, None])
+    pair = np.zeros_like(transitions)
+    for t in range(1, T):
+        pair += np.exp(
+            alpha[t - 1][:, :, None]
+            + transitions[None, :, :]
+            + (E[t] + beta[t])[:, None, :]
+            - log_z[:, None, None]
+        ).sum(axis=0)
+    return log_z, node, pair
 
 
 def _design_for(model: CrfModel, corpus) -> _Design:

@@ -6,7 +6,6 @@ filtering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -15,8 +14,8 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 from ..corpus import Catalog, Utterance
-from .crf import _dump_model, _gazetteers_from_json, _gazetteers_to_json, _index_to_list, _load_model
 from .features import Gazetteers, intent_features
+from .modelio import dump_model, gazetteers_from_json, gazetteers_to_json, index_to_list, load_model
 from .optim import TrainingConfig, minimize
 
 
@@ -57,20 +56,20 @@ class MaxEntModel:
             "version": 1,
             "l2": self.l2,
             "intents": list(self.intents),
-            "features": _index_to_list(self.feature_index),
+            "features": index_to_list(self.feature_index),
             "weights": self.weights.tolist(),
-            "gazetteers": _gazetteers_to_json(self.gazetteers),
+            "gazetteers": gazetteers_to_json(self.gazetteers),
         }
-        _dump_model(obj, path)
+        dump_model(obj, path)
 
     @classmethod
     def load(cls, path) -> "MaxEntModel":
-        obj = _load_model(path, "maxent-model")
+        obj = load_model(path, "maxent-model")
         return cls(
             intents=tuple(obj["intents"]),
             feature_index={f: i for i, f in enumerate(obj["features"])},
             weights=np.asarray(obj["weights"], dtype=float),
-            gazetteers=_gazetteers_from_json(obj["gazetteers"]),
+            gazetteers=gazetteers_from_json(obj["gazetteers"]),
             l2=obj["l2"],
         )
 

@@ -1,7 +1,9 @@
 """Batch first-order minimizer shared by the slot tagger and intent classifier.
 
-Gradient descent with a Barzilai-Borwein initial step and Armijo
-backtracking.  Accepted steps never increase the objective, every run with
+Limited-memory BFGS (Liu & Nocedal 1989): the two-loop recursion turns
+the last few steps and gradient changes into a quasi-Newton direction, and
+a backtracking line search accepts the first step that meets the Armijo
+condition.  Accepted steps never increase the objective, every run with
 the same inputs takes the same path, and the analytic gradient is the only
 model-specific code involved -- which keeps training easy to check against
 finite differences.
@@ -9,8 +11,9 @@ finite differences.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +41,31 @@ class MinimizeResult:
     converged: bool
 
 
+_HISTORY = 10  # (step, gradient change) pairs kept for the two-loop recursion
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+
+
+def _direction(g: np.ndarray, history: Sequence) -> np.ndarray:
+    """-H g for the L-BFGS inverse-Hessian estimate H of `history`.
+
+    Without history H is the identity, scaled down so that the step is at
+    most of unit length; otherwise its initial diagonal is s.y / y.y of the
+    newest pair.
+    """
+    if not history:
+        return -g / max(float(np.linalg.norm(g)), 1.0)
+    q = g.copy()
+    coefs = []
+    for s, y, rho in reversed(history):
+        a = rho * float(s @ q)
+        q -= a * y
+        coefs.append(a)
+    s, y, rho = history[-1]
+    q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(history, reversed(coefs)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
 
 
 def minimize(
@@ -48,37 +74,43 @@ def minimize(
     max_iterations: int,
     tolerance: float,
 ) -> MinimizeResult:
-    """Minimize a smooth function returning (value, gradient)."""
+    """Minimize a smooth function returning (value, gradient).
+
+    Converged means max |gradient| <= tolerance.  Stops after
+    `max_iterations` accepted steps, or early when no step along a descent
+    direction lowers the objective at float precision.
+    """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
     values = [f]
-    prev_x = prev_g = None
-    step = 1.0
+    history: deque = deque(maxlen=_HISTORY)
     iterations = 0
     converged = bool(np.max(np.abs(g), initial=0.0) <= tolerance)
     while iterations < max_iterations and not converged:
-        gg = float(g @ g)
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(s @ y)
-            if sy > 0:
-                step = float(s @ s) / sy
-        step = min(max(step, 1e-12), 1e6)
-        alpha = step
+        d = _direction(g, history)
+        slope = float(g @ d)
+        if not slope < 0:  # rounding broke the estimate: steepest descent
+            d = _direction(g, ())
+            slope = float(g @ d)
+        alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            x_new = x - alpha * g
+            x_new = x + alpha * d
             f_new, g_new = fun_grad(x_new)
-            if np.isfinite(f_new) and f_new <= f - _ARMIJO_C * alpha * gg:
+            if np.isfinite(f_new) and f_new <= f + _ARMIJO_C * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break  # no further progress possible at float precision
-        prev_x, prev_g = x, g
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 0:  # keeps the estimate positive definite
+            history.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         values.append(f)
         iterations += 1
         converged = bool(np.max(np.abs(g), initial=0.0) <= tolerance)
     return MinimizeResult(x, values, iterations, converged)
+

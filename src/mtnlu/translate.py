@@ -194,9 +194,10 @@ def load_phrase_table(path) -> list[tuple[tuple[str, ...], tuple[str, ...], floa
 #
 # Beam search over phrase segmentations.  A hypothesis covers a subset of
 # source positions (bitmask); expansions pick an uncovered contiguous span
-# whose distance from the previous phrase end is at most max_jump.  States
-# that agree on (coverage, previous end, last target token, target length)
-# are recombined keeping the higher-scoring one; ties prefer the
+# whose distance from the previous phrase end is at most max_jump, and
+# that leaves the leftmost uncovered position within max_jump of its end.
+# States that agree on (coverage, previous end, last target token, target
+# length) are recombined keeping the higher-scoring one; ties prefer the
 # lexicographically smaller target sequence, which makes decoding a pure
 # function of the input.
 
@@ -233,9 +234,16 @@ def _span_options(tokens: Sequence[str], model: PhraseTableModel):
 def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") -> TranslationResult:
     """Best-scoring translation of `tokens` under the model.
 
-    Raises ValueError on empty input or when no hypothesis can cover the
-    sentence within the jump limit (monotone order is always admissible, so
-    this only happens on internal misuse).
+    A phrase is placed only when its start is within `max_jump` of the
+    previous phrase end and, unless it completes the sentence, the leftmost
+    uncovered position stays within `max_jump` of its own end -- the usual
+    distortion-limit check of phrase-based decoders.  Every hypothesis in
+    the beam can then still be completed one word at a time, so pruning
+    never leaves only dead ends.  The check also excludes orders that come
+    back to a gap in several short leftward jumps, such as reversing three
+    words one by one at `max_jump` 2.
+
+    Raises ValueError on empty input.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -269,6 +277,11 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
                 jump = abs(i - hyp.prev_end)
                 if jump > model.max_jump:
                     continue
+                coverage = hyp.coverage | span_bits
+                if coverage != full:
+                    gap = (~coverage & (coverage + 1)).bit_length() - 1
+                    if abs(gap - j) > model.max_jump:
+                        continue
                 for tgt, tm_score in opts:
                     lm_delta = 0.0
                     prev = last
@@ -282,7 +295,7 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
                     wp = -len(target)
                     score = w_tm * tm + w_lm * lm + w_reord * reord + w_wp * wp
                     new = _Hyp(
-                        hyp.coverage | span_bits,
+                        coverage,
                         j,
                         target,
                         tm,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mtnlu.corpus import Utterance, make_span
+from mtnlu.nlu import crf
 from mtnlu.nlu import (
     CrfModel,
     TrainingConfig,
@@ -155,6 +156,74 @@ class TestObjective:
             assert max_relative_error(analytic, fd) < 1e-4
 
 
+def objective_both_ways(model, corpus, monkeypatch):
+    """crf_objective as shipped, and with every group forced to log space.
+
+    Also returns, per length group, whether the shipped run fell back.
+    """
+    scaled = crf._scaled_forward_backward
+    fell_back = []
+
+    def spy(E, transitions):
+        out = scaled(E, transitions)
+        fell_back.append(out is None)
+        return out
+
+    monkeypatch.setattr(crf, "_scaled_forward_backward", spy)
+    shipped = crf_objective(model, corpus)
+    monkeypatch.setattr(crf, "_scaled_forward_backward", lambda E, transitions: None)
+    log_space = crf_objective(model, corpus)
+    return shipped, log_space, fell_back
+
+
+class TestScaledForwardBackward:
+    """The probability-space recursions against the log-space reference."""
+
+    @pytest.mark.parametrize("scale", [0.0, 0.1, 1.0, 10.0, 100.0, 1e3, 1e6])
+    def test_matches_log_space(self, scale, monkeypatch):
+        rng = random.Random(53)
+        utterances = random_corpus(rng, 40)
+        model = train_slot_tagger(utterances, TrainingConfig(max_iterations=0))
+        gen = np.random.default_rng(11)
+        model.emissions = scale * gen.normal(size=model.emissions.shape)
+        model.transitions = scale * gen.normal(size=model.transitions.shape)
+        corpus = [(u.tokens, tuple(bio_encode(u))) for u in utterances]
+        (value, grads), (ref_value, ref_grads), fell_back = objective_both_ways(
+            model, corpus, monkeypatch
+        )
+        assert math.isfinite(value)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        for g, ref in zip(grads, ref_grads):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - ref)) <= 1e-6
+        if scale <= 10.0:
+            assert not any(fell_back)
+        if scale >= 1e3:
+            assert any(fell_back)  # whole steps underflow at these weights
+
+    def test_fallback_is_per_length_group(self, monkeypatch):
+        # O -> B-X is all but forbidden, so the scaled step into "b" underflows
+        # in the length-4 group; the length-1 group has no transitions
+        labels = bio_labels(["X"])
+        feature_index = {"w0=a": 0, "w0=b": 1}
+        emissions = np.array([[900.0, -900.0, 0.0], [-900.0, 900.0, 0.0]])
+        transitions = np.array([[0.0, -900.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        model = CrfModel(labels, feature_index, emissions, transitions)
+        corpus = [
+            (("a",), ("O",)),
+            (("b",), ("B-X",)),
+            (("a", "b", "a", "b"), ("O", "B-X", "O", "B-X")),
+        ]
+        (value, grads), (ref_value, ref_grads), fell_back = objective_both_ways(
+            model, corpus, monkeypatch
+        )
+        assert fell_back == [False, True]
+        assert math.isfinite(value)
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        for g, ref in zip(grads, ref_grads):
+            assert np.max(np.abs(g - ref)) <= 1e-6
+
+
 class TestViterbi:
     def test_matches_exhaustive_search(self):
         rng = random.Random(13)
@@ -255,6 +324,39 @@ class TestTraining:
         result = minimize(fun_grad, np.zeros(F * L + L * L), 40, 1e-6)
         assert all(b <= a + 1e-12 for a, b in zip(result.values, result.values[1:]))
         assert result.values[-1] < result.values[0]
+
+    def test_zero_iterations_returns_start_point(self):
+        def fun_grad(x):
+            return 0.5 * float(x @ x), x.copy()
+
+        x0 = np.array([1.0, -2.0])
+        result = minimize(fun_grad, x0, 0, 1e-6)
+        assert np.array_equal(result.x, x0) and result.x is not x0
+        assert result.values == [2.5]
+        assert result.iterations == 0 and not result.converged
+        assert minimize(fun_grad, np.zeros(2), 0, 1e-6).converged
+
+    def test_small_crf_converges_within_cap(self):
+        # gradient descent with Barzilai-Borwein steps does not get max |g|
+        # below 1e-6 in 300 iterations on this problem
+        rng = random.Random(17)
+        corpus = random_corpus(rng, 12)
+        model = train_slot_tagger(corpus, TrainingConfig(max_iterations=0))
+        pairs = [(u.tokens, tuple(bio_encode(u))) for u in corpus]
+        F, L = model.emissions.shape
+
+        def fun_grad(x):
+            m = CrfModel(
+                model.labels, model.feature_index,
+                x[: F * L].reshape(F, L), x[F * L :].reshape(L, L),
+                l2=0.01,
+            )
+            value, (g_em, g_tr) = crf_objective(m, pairs)
+            return value, np.concatenate([g_em.ravel(), g_tr.ravel()])
+
+        result = minimize(fun_grad, np.zeros(F * L + L * L), 300, 1e-6)
+        assert result.converged and result.iterations < 300
+        assert np.max(np.abs(fun_grad(result.x)[1])) <= 1e-6
 
     def test_doubling_l2_does_not_increase_weight_norm(self):
         rng = random.Random(23)

@@ -28,6 +28,7 @@ from mtnlu.filtering import (
 )
 from mtnlu.nlu import TrainingConfig, train_intent_classifier, train_slot_tagger
 from mtnlu.translate import UNALIGNED_SLOT, TranslationResult, TranslationScores
+import toytask
 
 CFG = TrainingConfig(l2=1e-3, max_iterations=80)
 
@@ -369,6 +370,15 @@ class TestScoreFilter:
             if previous is not None:
                 assert kept <= previous
             previous = kept
+
+    def test_scores_equal_up_to_rounding_are_all_kept(self):
+        # word-for-word translations score -1.1 per token, so each domain's
+        # stdev is rounding noise of about 1e-16
+        corpus = toytask.sample_source(200, seed=21)
+        translations, _ = toytask.forward_results(corpus)
+        stats = compute_domain_stats(corpus, translations)
+        for k in (-1.0, 0.0, 1.0):
+            assert score_filter(corpus, translations, stats, k).removed == []
 
     def test_missing_domain_stats_is_an_error(self):
         corpus, translations = scored_corpus()

@@ -24,6 +24,7 @@ from mtnlu.translate import (
     project_annotations,
     save_translations,
 )
+import toytask
 from oracles import enumerate_best_translation
 
 
@@ -163,6 +164,47 @@ class TestDecode:
         a = decode(["wie", "geht", "es"], model)
         b = decode(["wie", "geht", "es"], model)
         assert a == b
+
+
+def swapped_bigram_pairs():
+    """Two options per toy word, plus every adjacent bigram of a toy sample
+    mapped to its swapped image: many cheap reordered hypotheses compete."""
+    pairs = []
+    for w in toytask.vocabulary():
+        pairs += [((w,), (w + "_de",), -0.1), ((w,), (w + "_x",), -0.7)]
+    bigrams = sorted({
+        (a, b)
+        for u in toytask.sample_source(400, seed=3)
+        for a, b in zip(u.tokens, u.tokens[1:])
+    })
+    pairs += [((a, b), (b + "_de", a + "_de"), -0.3) for a, b in bigrams]
+    return pairs
+
+
+class TestDecodeBeamPruning:
+    """A narrow beam must not end up holding only hypotheses that left a
+    gap too far behind to ever be covered."""
+
+    def test_narrow_beam_matches_wide_beam(self):
+        sent = (
+            "my alarm at nine am set alarm for nine am weather in new york "
+            "at five pm buy blue jacket"
+        ).split()
+        pairs = swapped_bigram_pairs()
+        narrow = decode(sent, PhraseTableModel.from_pairs(pairs, max_jump=2, beam_size=100))
+        wide = decode(sent, PhraseTableModel.from_pairs(pairs, max_jump=2, beam_size=1000))
+        assert narrow == wide
+
+    def test_random_long_inputs_decode_at_beam_ten(self):
+        model = PhraseTableModel.from_pairs(
+            swapped_bigram_pairs(), max_jump=2, beam_size=10
+        )
+        rng = random.Random(0)
+        vocab = sorted(toytask.vocabulary())
+        for _ in range(20):
+            sent = [rng.choice(vocab) for _ in range(20)]
+            r = decode(sent, model)
+            assert {s for s, _ in r.alignment} == set(range(20))
 
 
 class TestProjection:
