@@ -17,7 +17,9 @@ formats; see `load_catalog` and `load_grammar`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,14 +28,15 @@ from .errors import ConfigError, FormatError
 # Characters with markup meaning; tokens may not contain them (nor whitespace),
 # which keeps parse(serialize(u)) == u total over valid utterances.
 _BRACKETS = "[]"
+_BAD_TOKEN_CHAR = re.compile(r"[\s\[\]]")
 
 
 def _check_token(token: str) -> None:
     if not token:
         raise ValueError("tokens must be non-empty")
-    if any(c.isspace() for c in token):
-        raise ValueError("token %r contains whitespace" % token)
-    if any(c in _BRACKETS for c in token):
+    if _BAD_TOKEN_CHAR.search(token):
+        if any(c.isspace() for c in token):
+            raise ValueError("token %r contains whitespace" % token)
         raise ValueError("token %r contains a bracket character" % token)
 
 
@@ -247,15 +250,24 @@ class Catalog:
 
     def __post_init__(self):
         _check_name(self.slot_type, "slot type")
-        lowered = tuple(
-            CatalogEntry(tuple(t.lower() for t in e.tokens), e.weight)
-            for e in self.entries
-        )
-        object.__setattr__(self, "entries", lowered)
+        object.__setattr__(self, "entries", tuple(_lowercased(e) for e in self.entries))
         if not self.entries:
             raise ValueError("catalog %s has no entries" % self.slot_type)
         if not any(e.weight > 0 for e in self.entries):
             raise ValueError("catalog %s has no entry with positive weight" % self.slot_type)
+
+    @functools.cached_property
+    def entries_by_length(self) -> dict[int, frozenset[tuple[str, ...]]]:
+        """Entry token tuples grouped by their length, built on first use."""
+        groups: dict[int, set[tuple[str, ...]]] = {}
+        for e in self.entries:
+            groups.setdefault(len(e.tokens), set()).add(e.tokens)
+        return {m: frozenset(g) for m, g in groups.items()}
+
+
+def _lowercased(entry: CatalogEntry) -> CatalogEntry:
+    tokens = tuple(t.lower() for t in entry.tokens)
+    return entry if tokens == entry.tokens else CatalogEntry(tokens, entry.weight)
 
 
 def load_catalog(path) -> Catalog:

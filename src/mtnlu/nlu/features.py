@@ -6,6 +6,12 @@ boundary padding), prefixes and suffixes of the current token up to length
 token that participates in an occurrence of a catalog entry n-gram.
 Intent features are a bag: token unigrams, adjacent bigrams, and the
 gazetteer types present anywhere in the utterance.
+
+Gazetteer lookup uses each catalog's index, `Catalog.entries_by_length`:
+its entry token tuples grouped by length into frozensets, built once per
+catalog on first use.  Every n-gram of the utterance whose length occurs in
+the catalog is one set lookup, so a scan costs O(tokens x distinct entry
+lengths) per slot type, whatever the number of entries.
 """
 
 from __future__ import annotations
@@ -40,10 +46,9 @@ def gazetteer_hits(tokens: Sequence[str], gazetteers: Gazetteers | None) -> list
         return hits
     lowered = [t.lower() for t in tokens]
     for slot_type in sorted(gazetteers):
-        for entry in gazetteers[slot_type].entries:
-            m = len(entry.tokens)
+        for m, entries in gazetteers[slot_type].entries_by_length.items():
             for i in range(n - m + 1):
-                if tuple(lowered[i : i + m]) == entry.tokens:
+                if tuple(lowered[i : i + m]) in entries:
                     for k in range(i, i + m):
                         hits[k].add(slot_type)
     return hits

@@ -48,7 +48,8 @@ class MaxEntModel:
         """Softmax posterior over intents, aligned with `self.intents`."""
         ids = self._feature_ids(tokens)
         logits = self.weights[ids].sum(axis=0) if ids.size else np.zeros(len(self.intents))
-        return np.exp(logits - logsumexp(logits))
+        p = np.exp(logits - logits.max())
+        return p / p.sum()
 
     def save(self, path) -> None:
         obj = {

@@ -230,6 +230,34 @@ def _check_keys(obj: Mapping, allowed: Sequence[str], where: str) -> None:
         raise ConfigError("unknown %s keys: %s" % (where, ", ".join(unknown)))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(obj: Mapping, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("%s must be an integer, got %s" % (key, json.dumps(value)))
+    return value
+
+
+def _number(obj: Mapping, key: str, default: float) -> float:
+    value = obj.get(key, default)
+    if not _is_number(value):
+        raise ConfigError("%s must be a number, got %s" % (key, json.dumps(value)))
+    return float(value)
+
+
+def _weights(translation: Mapping) -> tuple:
+    value = translation.get("weights", [1.0, 1.0, 1.0, 1.0])
+    if not isinstance(value, list) or len(value) != 4 or not all(map(_is_number, value)):
+        raise ConfigError(
+            "weights must be a list of 4 numbers (tm, lm, reordering, word_penalty), got %s"
+            % json.dumps(value)
+        )
+    return tuple(value)
+
+
 def _resolve(base: Path, value, key: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError("%s must be a non-empty path string" % key)
@@ -319,7 +347,7 @@ def load_pipeline_config(
 
     return PipelineConfig(
         out_dir=effective_out,
-        seed=int(seed if seed is not None else obj.get("seed", 0)),
+        seed=seed if seed is not None else _integer(obj, "seed", 0),
         stages=effective_stages,
         source_corpus=_resolve_opt(base, obj, "source_corpus"),
         test_corpus=_resolve_opt(base, obj, "test_corpus"),
@@ -333,14 +361,14 @@ def load_pipeline_config(
             _resolve_opt(base, translation, "backward_translations"),
             _resolve_opt(base, translation, "backward_phrase_table"),
         ),
-        weights=tuple(translation.get("weights", (1.0, 1.0, 1.0, 1.0))),
-        max_jump=int(translation.get("max_jump", 2)),
-        beam_size=int(translation.get("beam_size", 100)),
-        lm_alpha=float(translation.get("lm_alpha", 0.1)),
+        weights=_weights(translation),
+        max_jump=_integer(translation, "max_jump", 2),
+        beam_size=_integer(translation, "beam_size", 100),
+        lm_alpha=_number(translation, "lm_alpha", 0.1),
         filter=filter_config,
         resample_slots=tuple(post.get("resample_slots", ())),
         retain_original_slots=tuple(post.get("retain_original_slots", ())),
-        mix_probability=float(post.get("mix_probability", 0.5)),
+        mix_probability=_number(post, "mix_probability", 0.5),
         catalogs=_resolve_list(base, obj, "catalogs"),
         source_catalogs=_resolve_list(base, obj, "source_catalogs"),
         training=training_config,

@@ -148,3 +148,19 @@ def max_relative_error(a, b):
     b = np.asarray(b, dtype=float).ravel()
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def gazetteer_hits_linear_scan(tokens, gazetteers):
+    """Per-position slot types by comparing every catalog entry at every
+    start position (the linear scan that `gazetteer_hits` indexes away)."""
+    n = len(tokens)
+    hits = [set() for _ in range(n)]
+    lowered = [t.lower() for t in tokens]
+    for slot_type, catalog in (gazetteers or {}).items():
+        for entry in catalog.entries:
+            m = len(entry.tokens)
+            for i in range(n - m + 1):
+                if tuple(lowered[i : i + m]) == entry.tokens:
+                    for k in range(i, i + m):
+                        hits[k].add(slot_type)
+    return hits

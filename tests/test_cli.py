@@ -37,6 +37,19 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_null_seed_exits_one(self, tmp_path, capsys):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2,
+                                         config_update={"seed": None})
+        assert main(["pipeline", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be an integer, got null\n"
+
+    def test_fractional_beam_size_exits_one(self, tmp_path, capsys):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2,
+                                         config_update={"translation": {"beam_size": 1.7}})
+        assert main(["pipeline", "--config", config]) == 1
+        assert capsys.readouterr().err == "error: beam_size must be an integer, got 1.7\n"
+
     def test_stage_failure_exits_two(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, config_update={
             "stages": ["postprocess"],

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mtnlu.corpus import Utterance
 from mtnlu.nlu import (
@@ -79,6 +80,34 @@ class TestPosterior:
         post = intent_posteriors(model, tokens)
         assert confidence == pytest.approx(post[intent], abs=1e-15)
         assert post[intent] == max(post.values())
+
+
+def bias_only_model(logits):
+    """A model whose posterior on any input is the softmax of `logits`."""
+    return MaxEntModel(
+        intents=tuple("I%d" % k for k in range(len(logits))),
+        feature_index={"bias": 0},
+        weights=np.asarray([logits], dtype=float),
+    )
+
+
+class TestSoftmax:
+    def test_matches_logsumexp_formula(self):
+        gen = np.random.default_rng(17)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            for k in (1, 2, 8, 20):
+                logits = gen.normal(0.0, scale, k)
+                expected = np.exp(logits - logsumexp(logits))
+                got = bias_only_model(logits).posterior(("anything",))
+                assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_finite_at_extreme_logits(self):
+        post = bias_only_model([1e6, -1e6, 0.0, 1e6, -1e6]).posterior(("x",))
+        assert np.all(np.isfinite(post))
+        assert post.tolist() == [0.5, 0.0, 0.0, 0.5, 0.0]
+        post = bias_only_model([-1e6, -1e6 + 1.0]).posterior(("x",))
+        expected = np.exp(np.array([-1.0, 0.0]) - logsumexp([-1.0, 0.0]))
+        assert np.max(np.abs(post - expected)) <= 1e-12
 
 
 class TestObjective:

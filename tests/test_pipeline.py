@@ -80,6 +80,51 @@ class TestConfigLoading:
             load_pipeline_config(str(p))
 
 
+class TestConfigValueTypes:
+    """Ill-typed values are a ConfigError (exit 1), never a traceback or a
+    silent conversion."""
+
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            ({"seed": None}, "seed must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"seed": "7"}, "seed must be an integer"),
+            ({"translation": {"max_jump": None}}, "max_jump must be an integer"),
+            ({"translation": {"max_jump": 2.0}}, "max_jump must be an integer"),
+            ({"translation": {"beam_size": 1.7}}, "beam_size must be an integer"),
+            ({"translation": {"beam_size": False}}, "beam_size must be an integer"),
+            ({"translation": {"lm_alpha": None}}, "lm_alpha must be a number"),
+            ({"translation": {"lm_alpha": "0.1"}}, "lm_alpha must be a number"),
+            ({"postprocess": {"mix_probability": None}}, "mix_probability must be a number"),
+            ({"postprocess": {"mix_probability": True}}, "mix_probability must be a number"),
+            ({"translation": {"weights": ["a", 1, 1, 1]}}, "weights must be a list of 4 numbers"),
+            ({"translation": {"weights": [1, 1, 1]}}, "weights must be a list of 4 numbers"),
+            ({"translation": {"weights": "abcd"}}, "weights must be a list of 4 numbers"),
+            ({"translation": {"weights": None}}, "weights must be a list of 4 numbers"),
+        ],
+    )
+    def test_rejected(self, tmp_path, update, message):
+        config_path = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update=update)
+        with pytest.raises(ConfigError, match=message):
+            load_pipeline_config(config_path)
+
+    def test_numbers_accepted(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
+            "seed": 3,
+            "translation": {"weights": [1, 0.5, 2, 0], "max_jump": 1, "beam_size": 7,
+                            "lm_alpha": 1},
+            "postprocess": {"mix_probability": 1},
+        })
+        config = load_pipeline_config(config_path)
+        assert config.seed == 3
+        assert config.weights == (1, 0.5, 2, 0)
+        assert (config.max_jump, config.beam_size) == (1, 7)
+        assert config.lm_alpha == 1.0 and isinstance(config.lm_alpha, float)
+        assert config.mix_probability == 1.0 and isinstance(config.mix_probability, float)
+
+
 class TestStageValidation:
     def test_out_of_order_stages_rejected(self):
         with pytest.raises(ConfigError, match="subsequence"):
