@@ -18,6 +18,7 @@ from .errors import MtnluError
 from .pipeline import (
     STAGES,
     StageFailure,
+    format_removed,
     load_pipeline_config,
     run_pipeline,
 )
@@ -89,12 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_result(result) -> None:
     for r in result.stage_reports:
-        removed = (
-            ",".join("%s=%d" % kv for kv in sorted(r.removed.items()))
-            if r.removed else "-"
-        )
         print("%s: %d -> %d removed[%s] %.2fs"
-              % (r.stage, r.input_count, r.output_count, removed, r.duration_seconds))
+              % (r.stage, r.input_count, r.output_count, format_removed(r.removed),
+                 r.duration_seconds))
     if result.semer_report is not None:
         report = result.semer_report
         print("semer overall: %.4f (%d errors / %d reference)"

@@ -80,10 +80,15 @@ class FilterOutcome:
 
     @property
     def stats(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, reason in self.removed:
-            counts[reason] = counts.get(reason, 0) + 1
-        return counts
+        return removal_counts(self.removed)
+
+
+def removal_counts(removed: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Number of removals per reason, in reason order."""
+    counts: dict[str, int] = {}
+    for _, reason in removed:
+        counts[reason] = counts.get(reason, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> dict:

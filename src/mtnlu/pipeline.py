@@ -17,9 +17,9 @@ import hashlib
 import json
 import time
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NewType, Sequence, get_args, get_origin, get_type_hints
 
 from .corpus import (
     Catalog,
@@ -34,6 +34,7 @@ from .filtering import (
     NO_TRANSLATION,
     FilterConfig,
     compute_domain_stats,
+    removal_counts,
     roundtrip_filter,
     score_filter,
 )
@@ -45,7 +46,7 @@ from .nlu import (
     train_intent_classifier,
     train_slot_tagger,
 )
-from .postprocess import PostprocessConfig, combined_postprocess
+from .postprocess import PostprocessConfig, check_resample_catalogs, combined_postprocess
 from .semer import SemerReport, semer, write_semer_report
 from .translate import (
     FileTranslator,
@@ -86,63 +87,80 @@ class StageFailure(MtnluError):
         super().__init__("stage %s failed: %s" % (stage, cause))
 
 
+InputPath = NewType("InputPath", str)
+"""A config value naming an input file: resolved against the config file's
+directory, and it must exist."""
+
+
 @dataclass(frozen=True)
-class TranslatorSpec:
-    """Where one translation direction comes from: a file or a decoder."""
+class TranslationConfig:
+    """The `translation` section: where each direction comes from (a
+    translations file or a phrase table for the decoder, not both) and the
+    decoder settings."""
 
-    translations: str | None = None
-    phrase_table: str | None = None
+    forward_translations: InputPath | None = None
+    forward_phrase_table: InputPath | None = None
+    backward_translations: InputPath | None = None
+    backward_phrase_table: InputPath | None = None
+    weights: tuple[float, float, float, float] = field(
+        default=(1.0, 1.0, 1.0, 1.0),
+        metadata={"items": "tm, lm, reordering, word_penalty"},
+    )
+    max_jump: int = 2
+    beam_size: int = 100
+    lm_alpha: float = 0.1
 
-    @property
-    def configured(self) -> bool:
-        return self.translations is not None or self.phrase_table is not None
-
-    def validate(self, name: str) -> None:
-        if self.translations is not None and self.phrase_table is not None:
-            raise ConfigError(
-                "%s: give either a translations file or a phrase table, not both" % name
-            )
+    def __post_init__(self) -> None:
+        for name, translations, phrase_table in (
+            ("forward", self.forward_translations, self.forward_phrase_table),
+            ("backward", self.backward_translations, self.backward_phrase_table),
+        ):
+            if translations is not None and phrase_table is not None:
+                raise ConfigError(
+                    "%s: give either a translations file or a phrase table, not both" % name
+                )
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The config file as a tree of frozen dataclasses, one per JSON object.
+
+    The field annotations are the schema: `load_pipeline_config` parses and
+    type-checks the file against them and `effective` serialises them, so a
+    new field needs no other edit.  Field metadata may set ``"config":
+    False`` (not a config key) or ``"items"`` (what the entries of a
+    fixed-length list are, for its error message).
+    """
+
     out_dir: str
     seed: int = 0
     stages: tuple[str, ...] = STAGES
-    source_corpus: str | None = None
-    test_corpus: str | None = None
+    source_corpus: InputPath | None = None
+    test_corpus: InputPath | None = None
     source_language: str = "src"
     target_language: str = "tgt"
-    forward: TranslatorSpec = TranslatorSpec()
-    backward: TranslatorSpec = TranslatorSpec()
-    weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    max_jump: int = 2
-    beam_size: int = 100
-    lm_alpha: float = 0.1
+    translation: TranslationConfig = TranslationConfig()
     filter: FilterConfig = FilterConfig()
-    resample_slots: tuple[str, ...] = ()
-    retain_original_slots: tuple[str, ...] = ()
-    mix_probability: float = 0.5
-    catalogs: tuple[str, ...] = ()
-    source_catalogs: tuple[str, ...] = ()
+    postprocess: PostprocessConfig = PostprocessConfig()
+    catalogs: tuple[InputPath, ...] = ()
+    source_catalogs: tuple[InputPath, ...] = ()
     training: TrainingConfig = TrainingConfig()
 
     def __post_init__(self) -> None:
         _validate_stages(self.stages)
-        self.forward.validate("forward")
-        self.backward.validate("backward")
-        if len(self.weights) != 4:
-            raise ConfigError("weights must have 4 entries (tm, lm, reordering, word_penalty)")
-        if "translate" in self.stages and not self.forward.configured:
+        t = self.translation
+        if "translate" in self.stages and t.forward_translations is None \
+                and t.forward_phrase_table is None:
             raise ConfigError("the translate stage needs a forward translations file or phrase table")
         needs_translations = set(self.stages) & set(_NEEDS_TRANSLATIONS)
         if needs_translations and "translate" not in self.stages \
-                and self.forward.translations is None:
+                and t.forward_translations is None:
             raise ConfigError(
                 "stages %s need translations: run the translate stage or configure "
                 "a forward translations file" % sorted(needs_translations)
             )
-        if "filter-semantic" in self.stages and not self.backward.configured:
+        if "filter-semantic" in self.stages and t.backward_translations is None \
+                and t.backward_phrase_table is None:
             raise ConfigError("the filter-semantic stage needs a backward translations file or phrase table")
         if set(self.stages) & set(_NEEDS_SOURCE) and self.source_corpus is None:
             raise ConfigError("source_corpus is required for stages %s"
@@ -156,43 +174,9 @@ class PipelineConfig:
         The output directory is deliberately excluded: where files land has
         no effect on their contents.
         """
-        return {
-            "seed": self.seed,
-            "stages": list(self.stages),
-            "source_corpus": self.source_corpus,
-            "test_corpus": self.test_corpus,
-            "source_language": self.source_language,
-            "target_language": self.target_language,
-            "translation": {
-                "forward_translations": self.forward.translations,
-                "forward_phrase_table": self.forward.phrase_table,
-                "backward_translations": self.backward.translations,
-                "backward_phrase_table": self.backward.phrase_table,
-                "weights": list(self.weights),
-                "max_jump": self.max_jump,
-                "beam_size": self.beam_size,
-                "lm_alpha": self.lm_alpha,
-            },
-            "filter": {
-                "mode": self.filter.mode,
-                "confidence_threshold": self.filter.confidence_threshold,
-                "slot_comparison": self.filter.slot_comparison,
-                "use_gold_labels": self.filter.use_gold_labels,
-                "score_multiplier": self.filter.score_multiplier,
-            },
-            "postprocess": {
-                "resample_slots": sorted(self.resample_slots),
-                "retain_original_slots": sorted(self.retain_original_slots),
-                "mix_probability": self.mix_probability,
-            },
-            "catalogs": list(self.catalogs),
-            "source_catalogs": list(self.source_catalogs),
-            "training": {
-                "l2": self.training.l2,
-                "max_iterations": self.training.max_iterations,
-                "tolerance": self.training.tolerance,
-            },
-        }
+        effective = _to_json(self)
+        del effective["out_dir"]
+        return effective
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.effective(), sort_keys=True, separators=(",", ":"))
@@ -221,64 +205,106 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# --- config file parsing -----------------------------------------------------
+# --- the config schema: parsing and serialisation ------------------------------
+
+# (singular, plural) of each leaf type, for error messages
+_KINDS = {
+    bool: ("true or false", "booleans"),
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    InputPath: ("a non-empty path string", "paths"),
+}
 
 
-def _check_keys(obj: Mapping, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError("unknown %s keys: %s" % (where, ", ".join(unknown)))
+def _config_fields(cls) -> list:
+    return [f for f in fields(cls) if f.metadata.get("config", True)]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_kind(kind, value) -> bool:
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is InputPath:
+        return isinstance(value, str) and value != ""
+    return isinstance(value, kind)
 
 
-def _integer(obj: Mapping, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError("%s must be an integer, got %s" % (key, json.dumps(value)))
+def _leaf(kind, value, key: str, base: Path):
+    if kind is float:
+        return float(value)
+    if kind is InputPath:
+        path = base / value
+        if not path.exists():
+            raise ConfigError("%s: no such file: %s" % (key, path))
+        return str(path)
     return value
 
 
-def _number(obj: Mapping, key: str, default: float) -> float:
-    value = obj.get(key, default)
-    if not _is_number(value):
-        raise ConfigError("%s must be a number, got %s" % (key, json.dumps(value)))
-    return float(value)
+def _parse(hint, value, key: str, base: Path, items: str | None = None):
+    """`value` checked against the annotation `hint` and converted to it."""
+    if is_dataclass(hint):
+        return _parse_section(hint, value, key, base)
+    args = get_args(hint)
+    optional = type(None) in args
+    if optional:
+        if value is None:
+            return None
+        hint = args[0]  # X | None
+        args = get_args(hint)
+    container = get_origin(hint)
+    if container is None:
+        ok = _is_kind(hint, value)
+        expected = _KINDS[hint][0]
+    else:  # tuple[kind, ...], tuple[kind, kind, ...] or frozenset[kind]
+        sized = container is tuple and args[-1] is not Ellipsis
+        ok = isinstance(value, (list, tuple)) \
+            and (not sized or len(value) == len(args)) \
+            and all(_is_kind(args[0], v) for v in value)
+        expected = "a list of %s%s%s" % (
+            "%d " % len(args) if sized else "", _KINDS[args[0]][1],
+            " (%s)" % items if items else "")
+    if not ok:
+        raise ConfigError("%s must be %s%s, got %s"
+                          % (key, expected, " or null" if optional else "", json.dumps(value)))
+    if container is None:
+        return _leaf(hint, value, key, base)
+    return container(_leaf(args[0], v, key, base) for v in value)
 
 
-def _weights(translation: Mapping) -> tuple:
-    value = translation.get("weights", [1.0, 1.0, 1.0, 1.0])
-    if not isinstance(value, list) or len(value) != 4 or not all(map(_is_number, value)):
-        raise ConfigError(
-            "weights must be a list of 4 numbers (tm, lm, reordering, word_penalty), got %s"
-            % json.dumps(value)
-        )
-    return tuple(value)
+def _parse_section(cls, obj, where: str, base: Path):
+    """An instance of the config dataclass `cls` from the JSON object `obj`;
+    absent keys take the field defaults."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object, got %s" % (where, json.dumps(obj)))
+    schema = _config_fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in schema})
+    if unknown:
+        raise ConfigError("unknown %s keys: %s" % (where, ", ".join(unknown)))
+    hints = get_type_hints(cls)
+    return cls(**{
+        f.name: _parse(hints[f.name], obj[f.name], f.name, base, f.metadata.get("items"))
+        for f in schema if f.name in obj
+    })
 
 
-def _resolve(base: Path, value, key: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError("%s must be a non-empty path string" % key)
-    path = Path(value)
-    if not path.is_absolute():
-        path = base / path
-    if not path.exists():
-        raise ConfigError("%s: no such file: %s" % (key, path))
-    return str(path)
-
-
-def _resolve_opt(base: Path, obj: Mapping, key: str) -> str | None:
-    value = obj.get(key)
-    return None if value is None else _resolve(base, value, key)
-
-
-def _resolve_list(base: Path, obj: Mapping, key: str) -> tuple[str, ...]:
-    values = obj.get(key, [])
-    if not isinstance(values, list):
-        raise ConfigError("%s must be a list of paths" % key)
-    return tuple(_resolve(base, v, key) for v in values)
+def _to_json(config) -> dict:
+    """The config fields of a config dataclass as JSON data: sections as
+    objects, tuples as lists and sets as sorted lists."""
+    out = {}
+    for f in _config_fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif isinstance(value, (tuple, list)):
+            value = list(value)
+        elif isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        out[f.name] = value
+    return out
 
 
 def load_pipeline_config(
@@ -300,79 +326,15 @@ def load_pipeline_config(
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        obj,
-        ["seed", "out_dir", "stages", "source_corpus", "test_corpus",
-         "source_language", "target_language", "translation", "filter",
-         "postprocess", "catalogs", "source_catalogs", "training"],
-        "config",
-    )
     base = path.resolve().parent
-
-    translation = obj.get("translation", {})
-    _check_keys(
-        translation,
-        ["forward_translations", "forward_phrase_table", "backward_translations",
-         "backward_phrase_table", "weights", "max_jump", "beam_size", "lm_alpha"],
-        "translation",
-    )
-    filter_obj = obj.get("filter", {})
-    _check_keys(
-        filter_obj,
-        ["mode", "confidence_threshold", "slot_comparison", "use_gold_labels",
-         "score_multiplier"],
-        "filter",
-    )
-    post = obj.get("postprocess", {})
-    _check_keys(
-        post, ["resample_slots", "retain_original_slots", "mix_probability"],
-        "postprocess",
-    )
-    training = obj.get("training", {})
-    _check_keys(training, ["l2", "max_iterations", "tolerance"], "training")
-
-    effective_out = out_dir if out_dir is not None else obj.get("out_dir")
-    if effective_out is None:
+    if out_dir is None and isinstance(obj.get("out_dir"), str):
+        obj["out_dir"] = str(base / obj["out_dir"])
+    for key, value in (("seed", seed), ("stages", stages), ("out_dir", out_dir)):
+        if value is not None:
+            obj[key] = value
+    if obj.get("out_dir") is None:
         raise ConfigError("out_dir must be set in the config or with --out")
-    if out_dir is None and not Path(effective_out).is_absolute():
-        effective_out = str(base / effective_out)
-
-    effective_stages = tuple(stages if stages is not None else obj.get("stages", STAGES))
-
-    try:
-        filter_config = FilterConfig(**filter_obj)
-        training_config = TrainingConfig(**training)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return PipelineConfig(
-        out_dir=effective_out,
-        seed=seed if seed is not None else _integer(obj, "seed", 0),
-        stages=effective_stages,
-        source_corpus=_resolve_opt(base, obj, "source_corpus"),
-        test_corpus=_resolve_opt(base, obj, "test_corpus"),
-        source_language=obj.get("source_language", "src"),
-        target_language=obj.get("target_language", "tgt"),
-        forward=TranslatorSpec(
-            _resolve_opt(base, translation, "forward_translations"),
-            _resolve_opt(base, translation, "forward_phrase_table"),
-        ),
-        backward=TranslatorSpec(
-            _resolve_opt(base, translation, "backward_translations"),
-            _resolve_opt(base, translation, "backward_phrase_table"),
-        ),
-        weights=_weights(translation),
-        max_jump=_integer(translation, "max_jump", 2),
-        beam_size=_integer(translation, "beam_size", 100),
-        lm_alpha=_number(translation, "lm_alpha", 0.1),
-        filter=filter_config,
-        resample_slots=tuple(post.get("resample_slots", ())),
-        retain_original_slots=tuple(post.get("retain_original_slots", ())),
-        mix_probability=_number(post, "mix_probability", 0.5),
-        catalogs=_resolve_list(base, obj, "catalogs"),
-        source_catalogs=_resolve_list(base, obj, "source_catalogs"),
-        training=training_config,
-    )
+    return _parse_section(PipelineConfig, obj, "config", base)
 
 
 # --- run state and reports ---------------------------------------------------
@@ -412,38 +374,47 @@ class _State:
     semer_report: SemerReport | None = None
 
 
-def _histogram(removed: Sequence[tuple[str, str]]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for _, reason in removed:
-        out[reason] = out.get(reason, 0) + 1
-    return dict(sorted(out.items()))
-
-
 def _write_removed(path: Path, removed: Sequence[tuple[str, str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for uid, reason in removed:
             fh.write("%s\t%s\n" % (uid, reason))
 
 
-def _format_removed(histogram: Mapping[str, int]) -> str:
-    if not histogram:
+def format_removed(counts: Mapping[str, int]) -> str:
+    """Removal counts as `reason=n,...` in reason order, or "-" for none."""
+    if not counts:
         return "-"
-    return ",".join("%s=%d" % (k, v) for k, v in sorted(histogram.items()))
+    return ",".join("%s=%d" % (k, v) for k, v in sorted(counts.items()))
 
 
 def _write_stage_reports(
     path: Path, reports: Sequence[StageReport], failed: tuple[str, BaseException] | None
 ) -> None:
-    lines = ["stage\tinput\toutput\tremoved\tfingerprint"]
-    for r in reports:
-        lines.append(
-            "%s\t%d\t%d\t%s\t%s"
-            % (r.stage, r.input_count, r.output_count,
-               _format_removed(r.removed), r.fingerprint)
-        )
+    """One row per stage in STAGES order, then the `# failed` lines.
+
+    Rows and failures that an earlier run wrote to `path` are kept for the
+    stages this run did not execute, so a run of some stages does not erase
+    the record of the others; each row keeps its own fingerprint.
+    """
+    rows = {
+        r.stage: "%s\t%d\t%d\t%s\t%s" % (r.stage, r.input_count, r.output_count,
+                                         format_removed(r.removed), r.fingerprint)
+        for r in reports
+    }
+    failures = {}
     if failed is not None:
-        message = " ".join(str(failed[1]).split())
-        lines.append("# failed\t%s\t%s" % (failed[0], message))
+        failures[failed[0]] = "# failed\t%s\t%s" % (failed[0], " ".join(str(failed[1]).split()))
+    executed = set(rows) | set(failures)
+    if path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+            cells = line.split("\t")
+            failure = cells[0] == "# failed" and len(cells) > 1
+            stage = cells[1] if failure else cells[0]
+            if stage in STAGES and stage not in executed:
+                (failures if failure else rows)[stage] = line
+    lines = ["stage\tinput\toutput\tremoved\tfingerprint"]
+    lines += [rows[s] for s in STAGES if s in rows]
+    lines += [failures[s] for s in STAGES if s in failures]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -451,19 +422,19 @@ def _write_stage_reports(
 # --- translator construction --------------------------------------------------
 
 
-def _build_translator(config: PipelineConfig, spec: TranslatorSpec) -> Translator | None:
-    if spec.translations is not None:
-        return FileTranslator(load_translations(spec.translations))
-    if spec.phrase_table is not None:
-        model = PhraseTableModel.from_pairs(
-            load_phrase_table(spec.phrase_table),
-            lm_alpha=config.lm_alpha,
-            weights=tuple(config.weights),
-            max_jump=config.max_jump,
-            beam_size=config.beam_size,
-        )
-        return PhraseTableTranslator(model)
-    return None
+def _build_translator(
+    t: TranslationConfig, translations: str | None, phrase_table: str | None
+) -> Translator:
+    if translations is not None:
+        return FileTranslator(load_translations(translations))
+    model = PhraseTableModel.from_pairs(
+        load_phrase_table(phrase_table),
+        lm_alpha=t.lm_alpha,
+        weights=t.weights,
+        max_jump=t.max_jump,
+        beam_size=t.beam_size,
+    )
+    return PhraseTableTranslator(model)
 
 
 # --- stages -------------------------------------------------------------------
@@ -539,12 +510,7 @@ def _stage_filter_score(config: PipelineConfig, state: _State, out: Path):
 
 
 def _stage_postprocess(config: PipelineConfig, state: _State, out: Path):
-    pp_config = PostprocessConfig(
-        resample_slots=frozenset(config.resample_slots),
-        retain_original_slots=frozenset(config.retain_original_slots),
-        mix_probability=config.mix_probability,
-        seed=stage_seed(config.seed, "postprocess"),
-    )
+    pp_config = replace(config.postprocess, seed=stage_seed(config.seed, "postprocess"))
     stats: dict[str, int] = {}
     state.working = combined_postprocess(
         state.working, state.source, state.catalogs, pp_config, stats
@@ -602,25 +568,30 @@ _HANDLERS: dict[str, Callable[[PipelineConfig, _State, Path], list]] = {
 
 
 def _setup(config: PipelineConfig) -> _State:
+    """Load the inputs, and build the translators, that the configured stages use."""
+    stages, t = set(config.stages), config.translation
     source: list[Utterance] = []
-    if set(config.stages) & set(_NEEDS_SOURCE):
+    if stages & set(_NEEDS_SOURCE):
         source = load_corpus(config.source_corpus, config.source_language)
     test: list[Utterance] = []
-    if "evaluate" in config.stages:
+    if "evaluate" in stages:
         test = load_corpus(config.test_corpus, config.target_language)
-    catalogs = load_catalogs(config.catalogs) if config.catalogs else {}
-    source_catalogs = (
-        load_catalogs(config.source_catalogs) if config.source_catalogs else {}
-    )
-    if "postprocess" in config.stages:
-        missing = sorted(set(config.resample_slots) - set(catalogs))
-        if missing:
-            raise ConfigError("no catalog for resampled slot types: %s" % ", ".join(missing))
-    forward = _build_translator(config, config.forward)
-    backward = _build_translator(config, config.backward)
+    catalogs: dict[str, Catalog] = {}
+    if stages & {"postprocess", "train"}:
+        catalogs = load_catalogs(config.catalogs)
+    if "postprocess" in stages:
+        check_resample_catalogs(config.postprocess.resample_slots, catalogs)
+    source_catalogs: dict[str, Catalog] = {}
+    if "filter-semantic" in stages:
+        source_catalogs = load_catalogs(config.source_catalogs)
+    forward = backward = None
+    if "translate" in stages:
+        forward = _build_translator(t, t.forward_translations, t.forward_phrase_table)
+    if "filter-semantic" in stages:
+        backward = _build_translator(t, t.backward_translations, t.backward_phrase_table)
     translations: dict[str, TranslationResult] = {}
-    if "translate" not in config.stages and config.forward.translations is not None:
-        translations = load_translations(config.forward.translations)
+    if "translate" not in stages and stages & set(_NEEDS_TRANSLATIONS):
+        translations = load_translations(t.forward_translations)
     return _State(
         source=source,
         working=list(source),
@@ -663,7 +634,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 stage=stage,
                 input_count=input_count,
                 output_count=len(state.test) if stage == "evaluate" else len(state.working),
-                removed=_histogram(removed),
+                removed=removal_counts(removed),
                 duration_seconds=time.perf_counter() - started,
                 fingerprint=fingerprint,
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Catalog, Utterance, make_span
 from .errors import ConfigError
@@ -39,7 +39,8 @@ class PostprocessConfig:
     resample_slots: frozenset[str] = frozenset()
     retain_original_slots: frozenset[str] = frozenset()
     mix_probability: float = 0.5
-    seed: int = 0
+    # derived from the run seed by the pipeline, so not a config file key
+    seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resample_slots", frozenset(self.resample_slots))
@@ -90,7 +91,8 @@ def _stream(seed: int, purpose: str, uid: str) -> random.Random:
     return random.Random("%s|%s|%s" % (seed, purpose, uid))
 
 
-def _check_catalogs(types: frozenset[str], catalogs: dict[str, Catalog]) -> None:
+def check_resample_catalogs(types: frozenset[str], catalogs: dict[str, Catalog]) -> None:
+    """Raise ConfigError unless every slot type in `types` has a catalog."""
     missing = sorted(t for t in types if t not in catalogs)
     if missing:
         raise ConfigError("no catalog for resampled slot types: %s" % ", ".join(missing))
@@ -102,7 +104,7 @@ def _resample_pass(
     config: PostprocessConfig,
     mixed: bool,
 ) -> list[Utterance]:
-    _check_catalogs(config.resample_slots, catalogs)
+    check_resample_catalogs(config.resample_slots, catalogs)
     if not config.resample_slots:
         return list(corpus)
     # slot types treated by both transforms flip a separate coin per instance

@@ -50,6 +50,34 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config]) == 1
         assert capsys.readouterr().err == "error: beam_size must be an integer, got 1.7\n"
 
+    @pytest.mark.parametrize("update", [
+        {"translation": []},
+        {"filter": None},
+        {"source_language": 5},
+        {"filter": {"use_gold_labels": "no"}},
+        {"postprocess": {"retain_original_slots": "City"}},
+        {"training": {"max_iterations": 1.5}},
+        {"training": {"max_iterations": True}},
+        {"filter": {"confidence_threshold": True}},
+        {"filter": {"score_multiplier": "1"}},
+        {"postprocess": {"mix_probability": 1.5}},
+    ])
+    def test_ill_typed_config_exits_one_before_any_stage(self, tmp_path, capsys, update):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update=update)
+        assert main(["pipeline", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_resample_catalog_exits_one_before_any_stage(self, tmp_path, capsys):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
+            "postprocess": {"resample_slots": ["Nowhere"]}})
+        assert main(["pipeline", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no catalog for resampled slot types: Nowhere\n"
+        assert not (tmp_path / "out" / "stage_reports.tsv").exists()
+
     def test_stage_failure_exits_two(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, config_update={
             "stages": ["postprocess"],

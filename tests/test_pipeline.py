@@ -1,22 +1,30 @@
 """Config handling and staged execution."""
 
+import dataclasses
+import functools
 import json
+import typing
 
 import pytest
 
 import toytask
 from mtnlu.corpus import load_corpus
+from mtnlu import pipeline
 from mtnlu.errors import ConfigError
+from mtnlu.filtering import FilterConfig
+from mtnlu.nlu import TrainingConfig
+from mtnlu.postprocess import PostprocessConfig
 from mtnlu.pipeline import (
     STAGES,
     PipelineConfig,
     StageFailure,
-    TranslatorSpec,
+    TranslationConfig,
     load_pipeline_config,
     run_pipeline,
     stage_seed,
 )
 from mtnlu.semer import read_semer_report
+from mtnlu.translate import load_translations
 
 
 def run_config(path, **overrides):
@@ -30,7 +38,7 @@ class TestConfigLoading:
         assert config.seed == 7
         assert config.stages == STAGES
         assert config.out_dir == str(tmp_path / "out")
-        assert config.max_jump == 0 and config.beam_size == 100
+        assert config.translation.max_jump == 0 and config.translation.beam_size == 100
         overridden = load_pipeline_config(
             config_path, seed=99, stages=["train", "evaluate"], out_dir=str(tmp_path / "o2")
         )
@@ -103,6 +111,17 @@ class TestConfigValueTypes:
             ({"translation": {"weights": [1, 1, 1]}}, "weights must be a list of 4 numbers"),
             ({"translation": {"weights": "abcd"}}, "weights must be a list of 4 numbers"),
             ({"translation": {"weights": None}}, "weights must be a list of 4 numbers"),
+            ({"source_language": 5}, "source_language must be a string, got 5"),
+            ({"filter": {"use_gold_labels": "no"}}, "use_gold_labels must be true or false"),
+            ({"postprocess": {"retain_original_slots": "City"}},
+             "retain_original_slots must be a list of strings"),
+            ({"training": {"max_iterations": 1.5}}, "max_iterations must be an integer"),
+            ({"training": {"max_iterations": True}}, "max_iterations must be an integer"),
+            ({"filter": {"confidence_threshold": True}}, "confidence_threshold must be a number"),
+            ({"filter": {"score_multiplier": "1"}}, "score_multiplier must be a number"),
+            ({"postprocess": {"mix_probability": 1.5}}, r"mix_probability must lie in \[0, 1\]"),
+            ({"translation": []}, "translation must be a JSON object, got \\[\\]"),
+            ({"filter": None}, "filter must be a JSON object, got null"),
         ],
     )
     def test_rejected(self, tmp_path, update, message):
@@ -119,10 +138,23 @@ class TestConfigValueTypes:
         })
         config = load_pipeline_config(config_path)
         assert config.seed == 3
-        assert config.weights == (1, 0.5, 2, 0)
-        assert (config.max_jump, config.beam_size) == (1, 7)
-        assert config.lm_alpha == 1.0 and isinstance(config.lm_alpha, float)
-        assert config.mix_probability == 1.0 and isinstance(config.mix_probability, float)
+        assert config.translation.weights == (1, 0.5, 2, 0)
+        assert (config.translation.max_jump, config.translation.beam_size) == (1, 7)
+        assert config.translation.lm_alpha == 1.0 \
+            and isinstance(config.translation.lm_alpha, float)
+        assert config.postprocess.mix_probability == 1.0 \
+            and isinstance(config.postprocess.mix_probability, float)
+
+
+    def test_integer_and_float_weights_share_a_fingerprint(self, tmp_path):
+        config = json.loads(open(toytask.build_workspace(tmp_path, n_train=4, n_test=2)).read())
+        fingerprints = set()
+        for name, weights in [("ints", [1, 1, 1, 1]), ("floats", [1.0, 1.0, 1.0, 1.0])]:
+            config["translation"]["weights"] = weights
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(config), encoding="utf-8")
+            fingerprints.add(load_pipeline_config(str(path)).fingerprint())
+        assert len(fingerprints) == 1
 
 
 class TestStageValidation:
@@ -154,7 +186,7 @@ class TestStageValidation:
         with pytest.raises(ConfigError, match="backward"):
             PipelineConfig(
                 out_dir="o", stages=("translate", "filter-semantic"),
-                source_corpus="x", forward=TranslatorSpec(phrase_table="pt"),
+                source_corpus="x", translation=TranslationConfig(forward_phrase_table="pt"),
             )
 
     def test_evaluate_requires_test_corpus(self):
@@ -167,7 +199,7 @@ class TestStageValidation:
 
     def test_both_file_and_table_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
-            TranslatorSpec(translations="a", phrase_table="b").validate("forward")
+            TranslationConfig(forward_translations="a", forward_phrase_table="b")
 
 
 class TestFingerprint:
@@ -191,15 +223,15 @@ class TestFingerprint:
             {"test_corpus": "y2"},
             {"source_language": "fr"},
             {"target_language": "it"},
-            {"mix_probability": 0.25},
-            {"resample_slots": ("City",)},
-            {"retain_original_slots": ("Song",)},
+            {"postprocess": PostprocessConfig(mix_probability=0.25)},
+            {"postprocess": PostprocessConfig(resample_slots=("City",))},
+            {"postprocess": PostprocessConfig(retain_original_slots=("Song",))},
             {"catalogs": ("c.tsv",)},
             {"source_catalogs": ("s.tsv",)},
-            {"weights": (1.0, 1.0, 1.0, 0.0)},
-            {"max_jump": 1},
-            {"beam_size": 10},
-            {"lm_alpha": 0.2},
+            {"translation": TranslationConfig(weights=(1.0, 1.0, 1.0, 0.0))},
+            {"translation": TranslationConfig(max_jump=1)},
+            {"translation": TranslationConfig(beam_size=10)},
+            {"translation": TranslationConfig(lm_alpha=0.2)},
         ]
         seen = {reference}
         for change in variants:
@@ -208,13 +240,170 @@ class TestFingerprint:
             seen.add(fp)
 
     def test_filter_and_training_settings_are_fingerprinted(self):
-        from mtnlu.filtering import FilterConfig
-        from mtnlu.nlu import TrainingConfig
-
         a = PipelineConfig(**self.base())
         b = PipelineConfig(**self.base(), filter=FilterConfig(mode="INTENT_SLOTS"))
         c = PipelineConfig(**self.base(), training=TrainingConfig(l2=0.5))
         assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
+
+
+def toytask_config(base) -> PipelineConfig:
+    """The config `toytask.build_workspace(base)` writes, as loaded."""
+    def catalogs(side):
+        return tuple("%s/catalog_%s_%s.tsv" % (base, side, t)
+                     for t in ("artistname", "city", "date", "item", "medianame", "time"))
+
+    return PipelineConfig(
+        out_dir="%s/out" % base, seed=7, stages=STAGES,
+        source_corpus="%s/train.tsv" % base, test_corpus="%s/test.tsv" % base,
+        source_language="en", target_language="de",
+        translation=TranslationConfig(
+            forward_phrase_table="%s/phrases_forward.tsv" % base,
+            backward_phrase_table="%s/phrases_backward.tsv" % base,
+            max_jump=0,
+        ),
+        filter=FilterConfig(mode="INTENT"),
+        postprocess=PostprocessConfig(resample_slots={"City"},
+                                      retain_original_slots={"MediaName"}),
+        catalogs=catalogs("tgt"), source_catalogs=catalogs("src"),
+        training=TrainingConfig(l2=0.001, max_iterations=60, tolerance=1e-6),
+    )
+
+
+def nondefault_config(base, forward_file: bool) -> PipelineConfig:
+    """Every key away from its default; a direction reads either a file or a
+    phrase table, so `forward_file` picks which keys of the pair are set."""
+    translation = dict(
+        weights=(0.5, 1.5, 0.25, -0.75), max_jump=3, beam_size=50, lm_alpha=0.3)
+    if forward_file:
+        translation.update(forward_translations="%s/forward.tsv" % base,
+                           backward_phrase_table="%s/backward_phrases.tsv" % base)
+    else:
+        translation.update(forward_phrase_table="%s/forward_phrases.tsv" % base,
+                           backward_translations="%s/backward.tsv" % base)
+    return PipelineConfig(
+        out_dir="%s/elsewhere" % base, seed=11, stages=STAGES[int(forward_file):],
+        source_corpus="%s/train.tsv" % base, test_corpus="%s/test.tsv" % base,
+        source_language="en", target_language="de",
+        translation=TranslationConfig(**translation),
+        filter=FilterConfig(mode="INTENT_SLOTS", confidence_threshold=0.25,
+                            score_multiplier=-0.5, slot_comparison="TYPES_AND_VALUES",
+                            use_gold_labels=True),
+        postprocess=PostprocessConfig(resample_slots=("Date", "City"),
+                                      retain_original_slots=("MediaName",),
+                                      mix_probability=0.75),
+        catalogs=("%s/c_city.tsv" % base, "%s/c_date.tsv" % base),
+        source_catalogs=("%s/s_city.tsv" % base,),
+        training=TrainingConfig(l2=0.5, max_iterations=25, tolerance=1e-4),
+    )
+
+
+def as_file(config: PipelineConfig) -> dict:
+    """`config` as the JSON a config file holds (the effective config plus
+    out_dir)."""
+    return {**config.effective(), "out_dir": config.out_dir}
+
+
+def config_leaves(cls, prefix=()):
+    """(key path, annotation) of every config key below the dataclass `cls`."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not f.metadata.get("config", True):
+            continue
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from config_leaves(hints[f.name], prefix + (f.name,))
+        else:
+            yield prefix + (f.name,), hints[f.name]
+
+
+def json_leaves(obj, prefix=()):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from json_leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def replace_leaf(config, path, value):
+    if len(path) == 1:
+        return dataclasses.replace(config, **{path[0]: value})
+    section = getattr(config, path[0])
+    return dataclasses.replace(config, **{path[0]: replace_leaf(section, path[1:], value)})
+
+
+# values the generic rule in `changed` cannot derive
+CHANGED = {("filter", "mode"): "INTENT_CONFIDENCE",
+           ("filter", "slot_comparison"): "TYPES_AND_VALUES"}
+
+
+def changed(path, hint, value):
+    """A valid value of type `hint` different from `value`."""
+    if path in CHANGED:
+        return CHANGED[path]
+    if value is None:
+        return 0.5 if float in typing.get_args(hint) else "other.tsv"
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, str):
+        return value + "2"
+    if isinstance(value, frozenset):
+        return value | {"Other"}
+    if isinstance(value, tuple) and typing.get_args(hint)[-1] is Ellipsis:
+        return value[:-1] if value else ("other.tsv",)
+    return (value[0] / 2,) + value[1:]
+
+
+class TestConfigSchema:
+    # the fingerprints these configs had before the schema was derived from the
+    # dataclasses; stage reports written since then must stay comparable
+    GOLDEN = {
+        "toytask": "98167a98402d52618cad50cc402ecde4eb3ff211e040c3b4008cc124c6697cec",
+        "nondefault_forward_file":
+            "0049f8352ae1cc261ae986d474087b3dfca6113a06df6b2349a9f634e482faa4",
+        "nondefault_backward_file":
+            "d7f083edce1a4f7b722336c6a10c07bba1092a641002c9b600909bc2bb87f2e8",
+    }
+
+    def test_golden_fingerprints(self):
+        assert toytask_config("/ws").fingerprint() == self.GOLDEN["toytask"]
+        assert nondefault_config("/ws", True).fingerprint() == \
+            self.GOLDEN["nondefault_forward_file"]
+        assert nondefault_config("/ws", False).fingerprint() == \
+            self.GOLDEN["nondefault_backward_file"]
+
+    def test_loader_builds_the_golden_configs(self, tmp_path):
+        loaded = load_pipeline_config(toytask.build_workspace(tmp_path))
+        assert loaded == toytask_config(tmp_path)
+        for forward_file in (True, False):
+            expected = nondefault_config(tmp_path, forward_file)
+            for key in ("source_corpus", "test_corpus"):
+                (tmp_path / getattr(expected, key)).touch()
+            for path in expected.catalogs + expected.source_catalogs + tuple(
+                    v for v in vars(expected.translation).values()
+                    if isinstance(v, str)):
+                (tmp_path / path).touch()
+            p = tmp_path / "nondefault.json"
+            p.write_text(json.dumps(as_file(expected)), encoding="utf-8")
+            assert load_pipeline_config(str(p)) == expected
+
+    def test_every_key_is_effective_and_fingerprinted(self):
+        base = PipelineConfig(out_dir="o", stages=("train", "evaluate"),
+                              source_corpus="x", test_corpus="y")
+        leaves = [(path, hint) for path, hint in config_leaves(PipelineConfig)
+                  if path != ("out_dir",)]
+        assert {path for path, _ in leaves} == set(json_leaves(base.effective()))
+        seen = {base.fingerprint()}
+        for path, hint in leaves:
+            value = changed(path, hint, functools.reduce(getattr, path, base))
+            variant = replace_leaf(base, path, value)
+            effective = functools.reduce(dict.__getitem__, path, variant.effective())
+            assert effective == functools.reduce(dict.__getitem__, path, as_file(variant))
+            assert effective != functools.reduce(dict.__getitem__, path, base.effective()), path
+            assert variant.fingerprint() not in seen, path
+            seen.add(variant.fingerprint())
 
 
 class TestStageSeed:
@@ -308,6 +497,60 @@ class TestFullRun:
             run_config(config_path)
         report = (tmp_path / "pout" / "stage_reports.tsv").read_text()
         assert "# failed\tpostprocess" in report
+
+    def test_evaluate_keeps_the_pipeline_stage_rows(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, n_train=80, n_test=25)
+        run_config(config_path)
+        report = tmp_path / "out" / "stage_reports.tsv"
+        full = report.read_text().splitlines()
+        evaluate_only = run_config(config_path, stages=["evaluate"])
+        lines = report.read_text().splitlines()
+        assert lines[:-1] == full[:-1]
+        evaluate_row = lines[-1].split("\t")
+        assert evaluate_row[:4] == full[-1].split("\t")[:4]
+        assert evaluate_row[4] == evaluate_only.stage_reports[0].fingerprint
+        assert evaluate_row[4] != full[-1].split("\t")[4]
+        # rerunning the whole pipeline in the same directory rewrites the same bytes
+        run_config(config_path)
+        assert report.read_text().splitlines() == full
+
+    def test_failures_are_kept_until_their_stage_runs_again(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        report = tmp_path / "out" / "stage_reports.tsv"
+
+        def first_cells():
+            return [line.split("\t")[:2] for line in report.read_text().splitlines()]
+
+        with pytest.raises(StageFailure, match="evaluate"):
+            run_config(config_path, stages=["evaluate"])
+        # retention without projected source ids fails inside the stage
+        with pytest.raises(StageFailure, match="postprocess"):
+            run_config(config_path, stages=["postprocess"])
+        assert first_cells() == [["stage", "input"], ["# failed", "postprocess"],
+                                 ["# failed", "evaluate"]]
+        run_config(config_path, stages=["train", "evaluate"])
+        assert first_cells() == [["stage", "input"], ["train", "40"], ["evaluate", "10"],
+                                 ["# failed", "postprocess"]]
+
+    def test_setup_reads_only_what_the_stages_use(self, tmp_path, monkeypatch):
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        run_config(config_path, stages=["translate", "train"])
+
+        def unused(*args):
+            raise AssertionError("read %r" % (args,))
+
+        calls = []
+        monkeypatch.setattr(pipeline, "load_catalogs", unused)
+        monkeypatch.setattr(pipeline, "load_phrase_table", unused)
+        run_config(config_path, stages=["evaluate"])
+        monkeypatch.setattr(pipeline, "load_translations",
+                            lambda path: calls.append(path) or load_translations(path))
+        config = json.loads(open(config_path).read())
+        config["translation"] = {"forward_translations": "out/translations.tsv"}
+        p = tmp_path / "project.json"
+        p.write_text(json.dumps(config), encoding="utf-8")
+        run_config(str(p), stages=["project"])
+        assert calls == [str(tmp_path / "out" / "translations.tsv")]
 
     def test_score_filter_threshold_drops_utterances(self, tmp_path):
         config_path = toytask.build_workspace(tmp_path, config_update={
