@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import random
 import re
 from dataclasses import dataclass
@@ -195,19 +196,36 @@ def serialize_utterance(utterance: Utterance) -> str:
     )
 
 
+def data_lines(path, header: bool = False) -> list[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a ``#``
+    comment (with `header`, line 1 is always kept), split as `open` splits a
+    UTF-8 text file.  A byte that is not UTF-8 is a FormatError on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line_no = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise FormatError("byte 0x%02x is not UTF-8 (%s)" % (data[exc.start], exc.reason),
+                          line_no, path) from exc
+    return [
+        (line_no, line)
+        for line_no, line in enumerate(io.StringIO(text, newline=None), 1)
+        if (header and line_no == 1) or (line.strip() and not line.lstrip().startswith("#"))
+    ]
+
+
 def load_corpus(path, language: str = "") -> list[Utterance]:
     """Read an annotated corpus file; ids must be unique within the file."""
     utterances: list[Utterance] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            u = parse_annotated_line(line, language, line_no, path)
-            if u.id in seen:
-                raise FormatError("duplicate utterance id %r" % u.id, line_no, path)
-            seen.add(u.id)
-            utterances.append(u)
+    for line_no, line in data_lines(path):
+        u = parse_annotated_line(line, language, line_no, path)
+        if u.id in seen:
+            raise FormatError("duplicate utterance id %r" % u.id, line_no, path)
+        seen.add(u.id)
+        utterances.append(u)
     return utterances
 
 
@@ -276,15 +294,12 @@ def load_catalog(path) -> Catalog:
     The first line must be ``#slot_type=<name>``; every following non-comment
     line is ``<value>`` or ``<value> TAB <weight>`` (weight defaults to 1.0).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith("#slot_type="):
+    lines = data_lines(path, header=True)
+    if not lines or not lines[0][1].startswith("#slot_type="):
         raise FormatError("catalog must start with #slot_type=<name>", 1, path)
-    slot_type = lines[0][len("#slot_type=") :].strip()
+    slot_type = lines[0][1][len("#slot_type=") :].strip()
     entries: list[CatalogEntry] = []
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in lines[1:]:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (1, 2):
             raise FormatError("expected <value> or <value> TAB <weight>", line_no, path)
@@ -351,28 +366,22 @@ class GrammarTemplate:
 def load_grammar(path) -> list[GrammarTemplate]:
     """Read grammar lines: ``intent TAB domain TAB weight TAB pattern``."""
     templates: list[GrammarTemplate] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise FormatError(
-                    "expected 4 tab-separated fields, got %d" % len(fields),
-                    line_no,
-                    path,
-                )
-            intent, domain, weight_s, pattern = fields
-            try:
-                weight = float(weight_s)
-            except ValueError:
-                raise FormatError("bad weight %r" % weight_s, line_no, path) from None
-            try:
-                templates.append(
-                    GrammarTemplate(intent.strip(), domain.strip(), tuple(pattern.split()), weight)
-                )
-            except ValueError as exc:
-                raise FormatError(str(exc), line_no, path) from exc
+    for line_no, line in data_lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 4:
+            raise FormatError("expected 4 tab-separated fields, got %d" % len(fields),
+                              line_no, path)
+        intent, domain, weight_s, pattern = fields
+        try:
+            weight = float(weight_s)
+        except ValueError:
+            raise FormatError("bad weight %r" % weight_s, line_no, path) from None
+        try:
+            templates.append(
+                GrammarTemplate(intent.strip(), domain.strip(), tuple(pattern.split()), weight)
+            )
+        except ValueError as exc:
+            raise FormatError(str(exc), line_no, path) from exc
     return templates
 
 

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.special import logsumexp
 
 from ..corpus import Catalog, SlotSpan, Utterance, make_span
 from .features import Gazetteers, sequence_features
-from .modelio import dump_model, gazetteers_from_json, gazetteers_to_json, index_to_list, load_model
+from .modelio import design_matrix, feature_ids, load_model, number_matrix, save_model, string_list
 from .optim import TrainingConfig, minimize
 
 OUTSIDE = "O"
+
+# the model file's own keys, besides the envelope that modelio writes
+_FILE_KEYS = {"labels": string_list, "emissions": number_matrix, "transitions": number_matrix}
 
 
 def bio_labels(slot_types: Iterable[str]) -> tuple[str, ...]:
@@ -109,11 +111,8 @@ class CrfModel:
 
     def feature_ids(self, tokens: Sequence[str]) -> list[np.ndarray]:
         """Known-feature ids per position; unseen features are dropped."""
-        out = []
-        for feats in sequence_features(tokens, self.gazetteers):
-            ids = [self.feature_index[f] for f in feats if f in self.feature_index]
-            out.append(np.asarray(ids, dtype=np.int64))
-        return out
+        return [feature_ids(feats, self.feature_index)
+                for feats in sequence_features(tokens, self.gazetteers)]
 
     def emission_scores(self, tokens: Sequence[str]) -> np.ndarray:
         ids = self.feature_ids(tokens)
@@ -124,29 +123,11 @@ class CrfModel:
         return E
 
     def save(self, path) -> None:
-        obj = {
-            "format": "crf-model",
-            "version": 1,
-            "l2": self.l2,
-            "labels": list(self.labels),
-            "features": index_to_list(self.feature_index),
-            "emissions": self.emissions.tolist(),
-            "transitions": self.transitions.tolist(),
-            "gazetteers": gazetteers_to_json(self.gazetteers),
-        }
-        dump_model(obj, path)
+        save_model(self, path, "crf-model", _FILE_KEYS)
 
     @classmethod
     def load(cls, path) -> "CrfModel":
-        obj = load_model(path, "crf-model")
-        return cls(
-            labels=tuple(obj["labels"]),
-            feature_index={f: i for i, f in enumerate(obj["features"])},
-            emissions=np.asarray(obj["emissions"], dtype=float),
-            transitions=np.asarray(obj["transitions"], dtype=float),
-            gazetteers=gazetteers_from_json(obj["gazetteers"]),
-            l2=obj["l2"],
-        )
+        return load_model(cls, path, "crf-model", _FILE_KEYS)
 
 
 # --- objective --------------------------------------------------------------
@@ -166,30 +147,20 @@ class _Design:
         by_length: dict[int, list[int]] = {}
         for idx, (fid_lists, _) in enumerate(sequences):
             by_length.setdefault(len(fid_lists), []).append(idx)
-        rows, cols = [], []
-        gold = []
+        rows, gold = [], []
         self.groups = []  # (first row, T, N)
-        pos = 0
         for T in sorted(by_length):
             members = by_length[T]
-            self.groups.append((pos, T, len(members)))
+            self.groups.append((len(rows), T, len(members)))
             for t in range(T):
                 for i in members:
-                    ids = sequences[i][0][t]
-                    rows.extend([pos] * len(ids))
-                    cols.extend(ids.tolist())
+                    rows.append(sequences[i][0][t])
                     gold.append(sequences[i][1][t])
-                    pos += 1
-        self.phi = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(pos, n_features),
-        )
+        self.phi = design_matrix(rows, n_features)
         # Feature/label and label-bigram counts of the gold sequences: the
         # score of every gold path together, and the empirical side of the
         # gradient.
-        gold_onehot = sparse.csr_matrix(
-            (np.ones(pos), (np.arange(pos), gold)), shape=(pos, n_labels)
-        )
+        gold_onehot = design_matrix(np.reshape(gold, (-1, 1)), n_labels)
         self.gold_emissions = (self.phi.T @ gold_onehot).toarray()
         self.gold_transitions = np.zeros((n_labels, n_labels))
         for _, labels in sequences:
@@ -372,18 +343,12 @@ def train_slot_tagger(
     labels = bio_labels(s.slot_type for u in corpus for s in u.slots)
     label_index = {lab: i for i, lab in enumerate(labels)}
     feature_index: dict[str, int] = {}
-    sequences = []
-    for u in corpus:
-        fid_lists = []
-        for feats in sequence_features(u.tokens, gazetteers):
-            ids = []
-            for f in feats:
-                if f not in feature_index:
-                    feature_index[f] = len(feature_index)
-                ids.append(feature_index[f])
-            fid_lists.append(np.asarray(ids, dtype=np.int64))
-        label_ids = [label_index[lab] for lab in bio_encode(u)]
-        sequences.append((fid_lists, label_ids))
+    sequences = [
+        ([feature_ids(feats, feature_index, grow=True)
+          for feats in sequence_features(u.tokens, gazetteers)],
+         [label_index[lab] for lab in bio_encode(u)])
+        for u in corpus
+    ]
     design = _Design(sequences, len(feature_index), len(labels))
     F, L = len(feature_index), len(labels)
 

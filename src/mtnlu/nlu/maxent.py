@@ -10,13 +10,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.special import logsumexp
 
 from ..corpus import Catalog, Utterance
 from .features import Gazetteers, intent_features
-from .modelio import dump_model, gazetteers_from_json, gazetteers_to_json, index_to_list, load_model
+from .modelio import design_matrix, feature_ids, load_model, number_matrix, save_model, string_list
 from .optim import TrainingConfig, minimize
+
+# the model file's own keys, besides the envelope that modelio writes
+_FILE_KEYS = {"intents": string_list, "weights": number_matrix}
 
 
 @dataclass(eq=False)
@@ -37,42 +39,23 @@ class MaxEntModel:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
-    def _feature_ids(self, tokens: Sequence[str]) -> np.ndarray:
-        feats = intent_features(tokens, self.gazetteers)
-        return np.asarray(
-            [self.feature_index[f] for f in feats if f in self.feature_index],
-            dtype=np.int64,
-        )
+    def feature_ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """Known-feature ids of the utterance; unseen features are dropped."""
+        return feature_ids(intent_features(tokens, self.gazetteers), self.feature_index)
 
     def posterior(self, tokens: Sequence[str]) -> np.ndarray:
         """Softmax posterior over intents, aligned with `self.intents`."""
-        ids = self._feature_ids(tokens)
+        ids = self.feature_ids(tokens)
         logits = self.weights[ids].sum(axis=0) if ids.size else np.zeros(len(self.intents))
         p = np.exp(logits - logits.max())
         return p / p.sum()
 
     def save(self, path) -> None:
-        obj = {
-            "format": "maxent-model",
-            "version": 1,
-            "l2": self.l2,
-            "intents": list(self.intents),
-            "features": index_to_list(self.feature_index),
-            "weights": self.weights.tolist(),
-            "gazetteers": gazetteers_to_json(self.gazetteers),
-        }
-        dump_model(obj, path)
+        save_model(self, path, "maxent-model", _FILE_KEYS)
 
     @classmethod
     def load(cls, path) -> "MaxEntModel":
-        obj = load_model(path, "maxent-model")
-        return cls(
-            intents=tuple(obj["intents"]),
-            feature_index={f: i for i, f in enumerate(obj["features"])},
-            weights=np.asarray(obj["weights"], dtype=float),
-            gazetteers=gazetteers_from_json(obj["gazetteers"]),
-            l2=obj["l2"],
-        )
+        return load_model(cls, path, "maxent-model", _FILE_KEYS)
 
 
 def classify_intent(model: MaxEntModel, tokens: Sequence[str]) -> tuple[str, float]:
@@ -86,17 +69,6 @@ def intent_posteriors(model: MaxEntModel, tokens: Sequence[str]) -> dict[str, fl
     """Full posterior keyed by intent, in model intent order."""
     p = model.posterior(tokens)
     return {intent: float(p[i]) for i, intent in enumerate(model.intents)}
-
-
-def _design(model_features: dict[str, int], rows_features: list[np.ndarray]):
-    rows, cols = [], []
-    for r, ids in enumerate(rows_features):
-        rows.extend([r] * len(ids))
-        cols.extend(ids.tolist())
-    return sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(len(rows_features), len(model_features)),
-    )
 
 
 def _nll_and_grad(X, y: np.ndarray, weights: np.ndarray, l2: float):
@@ -116,15 +88,12 @@ def maxent_objective(
 ) -> tuple[float, np.ndarray]:
     """Regularized NLL of (tokens, intent) pairs and its gradient."""
     intent_index = {intent: i for i, intent in enumerate(model.intents)}
-    rows = []
-    y = []
-    for tokens, intent in corpus:
+    for _, intent in corpus:
         if intent not in intent_index:
             raise ValueError("intent %r not in model intent set" % intent)
-        rows.append(model._feature_ids(tokens))
-        y.append(intent_index[intent])
-    X = _design(model.feature_index, rows)
-    return _nll_and_grad(X, np.asarray(y, dtype=np.int64), model.weights, model.l2)
+    X = design_matrix([model.feature_ids(t) for t, _ in corpus], len(model.feature_index))
+    y = np.asarray([intent_index[intent] for _, intent in corpus], dtype=np.int64)
+    return _nll_and_grad(X, y, model.weights, model.l2)
 
 
 def train_intent_classifier(
@@ -139,18 +108,10 @@ def train_intent_classifier(
     intents = tuple(sorted({u.intent for u in corpus}))
     intent_index = {intent: i for i, intent in enumerate(intents)}
     feature_index: dict[str, int] = {}
-    rows = []
-    y = []
-    for u in corpus:
-        ids = []
-        for f in intent_features(u.tokens, gazetteers):
-            if f not in feature_index:
-                feature_index[f] = len(feature_index)
-            ids.append(feature_index[f])
-        rows.append(np.asarray(ids, dtype=np.int64))
-        y.append(intent_index[u.intent])
-    X = _design(feature_index, rows)
-    y_arr = np.asarray(y, dtype=np.int64)
+    rows = [feature_ids(intent_features(u.tokens, gazetteers), feature_index, grow=True)
+            for u in corpus]
+    X = design_matrix(rows, len(feature_index))
+    y_arr = np.asarray([intent_index[u.intent] for u in corpus], dtype=np.int64)
     F, K = len(feature_index), len(intents)
 
     def fun_grad(x: np.ndarray):

@@ -1,52 +1,119 @@
-"""JSON model files shared by the slot tagger and the intent classifier.
+"""What the slot tagger and the intent classifier share: feature ids, the
+sparse design matrix and the model file.
 
-A model file is one line of JSON with sorted keys and no spaces, tagged
-with its format name and version 1, so that the same weights always give
-the same bytes.
+A model file is one line of JSON with sorted keys and no spaces, so that the
+same weights always give the same bytes.  Both models write one envelope --
+``format``, ``version`` (1), ``l2``, ``features`` (the names in id order) and
+``gazetteers`` (``[slot type, [[tokens, weight], ...]]`` pairs) -- plus their
+own keys, each named after the model field it holds.  `load_model` turns any
+malformed file into one `FormatError` that names the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from ..corpus import Catalog, CatalogEntry
-from .features import Gazetteers
+from ..errors import FormatError
 
 
-def index_to_list(index: dict[str, int]) -> list[str]:
-    """Feature names ordered by their index."""
-    out = [""] * len(index)
-    for f, i in index.items():
-        out[i] = f
-    return out
+def feature_ids(feats: Iterable[str], index: dict[str, int], grow: bool = False) -> np.ndarray:
+    """Ids of `feats` in `index`: with `grow` (training) a new feature gets the
+    next free id, without it (inference) features not in `index` are dropped."""
+    if grow:
+        ids = [index.setdefault(f, len(index)) for f in feats]
+    else:
+        ids = [index[f] for f in feats if f in index]
+    return np.asarray(ids, dtype=np.int64)
 
 
-def gazetteers_to_json(gazetteers: Gazetteers) -> list:
-    return [
-        [t, [[list(e.tokens), e.weight] for e in gazetteers[t].entries]]
-        for t in sorted(gazetteers)
-    ]
+def design_matrix(rows: Sequence[Sequence[int]], n_columns: int) -> sparse.csr_matrix:
+    """CSR matrix with one row per id list and a 1 at each id; repeated ids add up."""
+    cols = np.concatenate(rows) if len(rows) else np.zeros(0, dtype=np.int64)
+    row_ids = np.repeat(np.arange(len(rows)), [len(ids) for ids in rows])
+    return sparse.csr_matrix((np.ones(len(cols)), (row_ids, cols)), shape=(len(rows), n_columns))
 
 
-def gazetteers_from_json(obj) -> dict[str, Catalog]:
-    return {
-        t: Catalog(t, tuple(CatalogEntry(tuple(tok), w) for tok, w in entries))
-        for t, entries in obj
-    }
+def string_list(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError("must be a list of strings")
+    return tuple(value)
 
 
-def dump_model(obj, path) -> None:
+def number_matrix(value) -> np.ndarray:
+    try:
+        array = np.asarray(value)
+        if array.ndim == 2 and array.dtype.kind in "iuf":
+            return array
+    except ValueError:  # rows of different lengths
+        pass
+    raise ValueError("must be a list of equal-length lists of numbers")
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError("must be a finite non-negative number")
+    return value
+
+
+def _catalogs(value) -> dict[str, Catalog]:
+    catalogs: dict[str, Catalog] = {}
+    try:
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        for slot_type, entries in value:
+            if slot_type in catalogs:
+                raise ValueError("duplicate slot type %r" % slot_type)
+            catalogs[slot_type] = Catalog(slot_type, tuple(
+                CatalogEntry(string_list(tokens), _number(w)) for tokens, w in entries))
+    except (TypeError, ValueError) as exc:
+        raise ValueError("must be a list of [slot type, [[tokens, weight], ...]] pairs (%s)"
+                         % exc) from exc
+    return catalogs
+
+
+_ENVELOPE: dict[str, Callable] = {"l2": _number, "features": string_list, "gazetteers": _catalogs}
+
+
+def save_model(model, path, fmt: str, keys: Iterable[str]) -> None:
+    """Write `model` as a `fmt` file: the envelope plus the model fields `keys`."""
+    index, gazetteers = model.feature_index, model.gazetteers
+    obj = dict(
+        {key: getattr(model, key) for key in keys},
+        format=fmt, version=1, l2=model.l2, features=sorted(index, key=index.__getitem__),
+        gazetteers=[[t, [[e.tokens, e.weight] for e in gazetteers[t].entries]]
+                    for t in sorted(gazetteers)],
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
         fh.write("\n")
 
 
-def load_model(path, expected_format: str):
-    """The JSON object in `path`; ValueError unless it is a version-1 `expected_format`."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != expected_format or obj.get("version") != 1:
-        raise ValueError(
-            "%s is not a version-1 %s file" % (path, expected_format)
-        )
-    return obj
+def load_model(cls, path, fmt: str, keys: Mapping[str, Callable]):
+    """The `cls` model in the `fmt` file at `path`; `keys` maps each of the
+    model's own keys to the function that checks and converts its value."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError("not a JSON file: %s" % exc, path=path) from exc
+    if not isinstance(obj, dict) or obj.get("format") != fmt or obj.get("version") != 1:
+        raise FormatError("not a version-1 %s file" % fmt, path=path)
+    values = {}
+    for key, check in {**_ENVELOPE, **keys}.items():
+        if key not in obj:
+            raise FormatError("missing key %r" % key, path=path)
+        try:
+            values[key] = check(obj[key])
+        except ValueError as exc:
+            raise FormatError("%s %s" % (key, exc), path=path) from exc
+    features = values.pop("features")
+    try:
+        return cls(feature_index={f: i for i, f in enumerate(features)}, **values)
+    except ValueError as exc:
+        raise FormatError(str(exc), path=path) from exc

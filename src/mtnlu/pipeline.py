@@ -29,7 +29,7 @@ from .corpus import (
     save_corpus,
     serialize_utterance,
 )
-from .errors import ConfigError, MtnluError
+from .errors import ConfigError, FormatError, MtnluError
 from .filtering import (
     NO_TRANSLATION,
     FilterConfig,
@@ -531,18 +531,7 @@ def _stage_train(config: PipelineConfig, state: _State, out: Path):
 
 
 def _stage_evaluate(config: PipelineConfig, state: _State, out: Path):
-    crf, maxent = state.crf, state.maxent
-    if crf is None or maxent is None:
-        crf_path = out / "crf_model.json"
-        maxent_path = out / "intent_model.json"
-        if not crf_path.exists() or not maxent_path.exists():
-            raise ConfigError(
-                "no trained models: run the train stage first or place "
-                "crf_model.json and intent_model.json in the output directory"
-            )
-        crf = CrfModel.load(crf_path)
-        maxent = MaxEntModel.load(maxent_path)
-    hypotheses = {u.id: predict(crf, maxent, u.tokens) for u in state.test}
+    hypotheses = {u.id: predict(state.crf, state.maxent, u.tokens) for u in state.test}
     report = semer(state.test, hypotheses)
     state.semer_report = report
     write_semer_report(report, out / "semer_report.tsv")
@@ -568,14 +557,17 @@ _HANDLERS: dict[str, Callable[[PipelineConfig, _State, Path], list]] = {
 
 
 def _setup(config: PipelineConfig) -> _State:
-    """Load the inputs, and build the translators, that the configured stages use."""
+    """Load the inputs and saved models, and build the translators, that the stages use."""
     stages, t = set(config.stages), config.translation
     source: list[Utterance] = []
     if stages & set(_NEEDS_SOURCE):
-        source = load_corpus(config.source_corpus, config.source_language)
+        source = _load_nonempty_corpus(config.source_corpus, config.source_language)
     test: list[Utterance] = []
+    crf = maxent = None
     if "evaluate" in stages:
-        test = load_corpus(config.test_corpus, config.target_language)
+        test = _load_nonempty_corpus(config.test_corpus, config.target_language)
+        if "train" not in stages:
+            crf, maxent = _load_models(Path(config.out_dir))
     catalogs: dict[str, Catalog] = {}
     if stages & {"postprocess", "train"}:
         catalogs = load_catalogs(config.catalogs)
@@ -601,7 +593,25 @@ def _setup(config: PipelineConfig) -> _State:
         source_catalogs=source_catalogs,
         forward=forward,
         backward=backward,
+        crf=crf,
+        maxent=maxent,
     )
+
+
+def _load_nonempty_corpus(path: str, language: str) -> list[Utterance]:
+    corpus = load_corpus(path, language)
+    if not corpus:
+        raise FormatError("the corpus has no utterances", path=path)
+    return corpus
+
+
+def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
+    for name in ("crf_model.json", "intent_model.json"):
+        if not (out / name).exists():
+            raise ConfigError("no trained model %s: run the train stage first or place "
+                              "crf_model.json and intent_model.json in the output directory"
+                              % (out / name))
+    return CrfModel.load(out / "crf_model.json"), MaxEntModel.load(out / "intent_model.json")
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus import Utterance, make_span
+from .corpus import Utterance, data_lines, make_span
 from .errors import FormatError, MtnluError
 
 log = logging.getLogger(__name__)
@@ -171,22 +171,19 @@ class PhraseTableModel:
 def load_phrase_table(path) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
     """Read ``src ||| tgt ||| logscore`` lines."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("|||")
-            if len(fields) != 3:
-                raise FormatError("expected src ||| tgt ||| logscore", line_no, path)
-            src = tuple(fields[0].split())
-            tgt = tuple(fields[1].split())
-            if not src or not tgt:
-                raise FormatError("empty phrase side", line_no, path)
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise FormatError("bad score %r" % fields[2].strip(), line_no, path) from None
-            pairs.append((src, tgt, score))
+    for line_no, line in data_lines(path):
+        fields = line.rstrip("\n").split("|||")
+        if len(fields) != 3:
+            raise FormatError("expected src ||| tgt ||| logscore", line_no, path)
+        src = tuple(fields[0].split())
+        tgt = tuple(fields[1].split())
+        if not src or not tgt:
+            raise FormatError("empty phrase side", line_no, path)
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise FormatError("bad score %r" % fields[2].strip(), line_no, path) from None
+        pairs.append((src, tgt, score))
     return pairs
 
 
@@ -400,46 +397,34 @@ def load_translations(path) -> dict[str, TranslationResult]:
     """
     results: dict[str, TranslationResult] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 8:
-                raise FormatError(
-                    "expected 8 tab-separated fields, got %d" % len(fields),
-                    line_no,
-                    path,
-                )
-            uid = fields[0].strip()
-            tokens = tuple(fields[1].split())
-            pairs = set()
-            for chunk in fields[2].split():
-                s_str, dash, t_str = chunk.partition("-")
-                if not dash:
-                    raise FormatError("bad alignment pair %r" % chunk, line_no, path)
-                try:
-                    pairs.add((int(s_str), int(t_str)))
-                except ValueError:
-                    raise FormatError(
-                        "bad alignment pair %r" % chunk, line_no, path
-                    ) from None
+    for line_no, line in data_lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 8:
+            raise FormatError("expected 8 tab-separated fields, got %d" % len(fields),
+                              line_no, path)
+        uid = fields[0].strip()
+        tokens = tuple(fields[1].split())
+        pairs = set()
+        for chunk in fields[2].split():
+            s_str, dash, t_str = chunk.partition("-")
+            if not dash:
+                raise FormatError("bad alignment pair %r" % chunk, line_no, path)
             try:
-                tm, lm, reord, wp, total = (float(x) for x in fields[3:8])
+                pairs.add((int(s_str), int(t_str)))
             except ValueError:
-                raise FormatError("bad score field", line_no, path) from None
-            try:
-                result = TranslationResult(
-                    uid,
-                    tokens,
-                    frozenset(pairs),
-                    TranslationScores(tm, lm, reord, wp, total),
-                )
-            except ValueError as exc:
-                raise FormatError(str(exc), line_no, path) from exc
-            if uid in results:
-                duplicates += 1
-            results[uid] = result
+                raise FormatError("bad alignment pair %r" % chunk, line_no, path) from None
+        try:
+            tm, lm, reord, wp, total = (float(x) for x in fields[3:8])
+        except ValueError:
+            raise FormatError("bad score field", line_no, path) from None
+        try:
+            result = TranslationResult(uid, tokens, frozenset(pairs),
+                                       TranslationScores(tm, lm, reord, wp, total))
+        except ValueError as exc:
+            raise FormatError(str(exc), line_no, path) from exc
+        if uid in results:
+            duplicates += 1
+        results[uid] = result
     if duplicates:
         log.warning("%s: %d duplicate translation id(s); kept the last", path, duplicates)
     return results

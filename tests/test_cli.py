@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -85,9 +86,73 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config]) == 2
         assert "postprocess" in capsys.readouterr().err
 
-    def test_evaluate_without_models_exits_two(self, tmp_path, capsys):
+    def test_evaluate_without_models_exits_one(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path)
-        assert main(["evaluate", "--config", config]) == 2
+        assert main(["evaluate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no trained model ") and err.count("\n") == 1, err
+        assert str(tmp_path / "out" / "crf_model.json") in err
+        assert not (tmp_path / "out" / "stage_reports.tsv").exists()
+
+    @pytest.mark.parametrize("corpus", ["train.tsv", "test.tsv"])
+    def test_empty_corpus_exits_one_before_any_stage(self, tmp_path, capsys, corpus):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2)
+        (tmp_path / corpus).write_text("# no utterances\n\n", encoding="utf-8")
+        assert main(["pipeline", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s: the corpus has no utterances\n" % (tmp_path / corpus)
+        assert not (tmp_path / "out" / "stage_reports.tsv").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A workspace whose output directory holds a trained model pair."""
+    root = tmp_path_factory.mktemp("models")
+    config = toytask.build_workspace(root, n_train=30, n_test=10,
+                                     config_update={"stages": ["train"]})
+    assert main(["pipeline", "--config", config]) == 0
+    return config, root / "out"
+
+
+def _edit_json(edit):
+    def probe(data: bytes) -> bytes:
+        obj = json.loads(data)
+        edit(obj)
+        return json.dumps(obj).encode("utf-8")
+    return probe
+
+
+# (probe, corrupt the model file's bytes, what the error names)
+MODEL_FILE_PROBES = [
+    ("array-root", lambda data: b"[" + data.strip() + b"]", "not a version-1"),
+    ("truncated", lambda data: data[: len(data) // 2], "not a JSON file"),
+    ("leading-0xff", lambda data: b"\xff" + data, "not a JSON file"),
+    ("missing-l2", _edit_json(lambda obj: obj.pop("l2")), "missing key 'l2'"),
+    ("l2-string", _edit_json(lambda obj: obj.update(l2="x")), "l2 must be a finite"),
+    ("l2-negative", _edit_json(lambda obj: obj.update(l2=-1.0)), "l2 must be a finite"),
+    ("gazetteers-int", _edit_json(lambda obj: obj.update(gazetteers=[3])),
+     "gazetteers must be a list"),
+    ("dropped-feature", _edit_json(lambda obj: obj["features"].pop(1)), "shape mismatch"),
+]
+
+
+@pytest.mark.parametrize("name", ["crf_model.json", "intent_model.json"])
+@pytest.mark.parametrize("probe, corrupt, message", MODEL_FILE_PROBES,
+                         ids=[p[0] for p in MODEL_FILE_PROBES])
+def test_corrupted_model_file_exits_one(tmp_path, capsys, trained_models,
+                                        name, probe, corrupt, message):
+    config, models = trained_models
+    out = tmp_path / "out"
+    shutil.copytree(models, out)
+    path = out / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path) and err.count("\n") == 1, err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "semer_report.tsv").exists()
 
 
 class TestRunCommands:

@@ -20,6 +20,7 @@ from mtnlu.corpus import (
     serialize_utterance,
 )
 from mtnlu.errors import ConfigError, FormatError
+from mtnlu.translate import load_phrase_table, load_translations
 
 
 class TestParse:
@@ -185,6 +186,31 @@ class TestCorpusFiles:
         with pytest.raises(FormatError) as err:
             load_corpus(path)
         assert err.value.line_no == 2
+
+
+# (loader, first line, a valid data line); the first line is a comment, or
+# the header a catalog needs
+LINE_FORMATS = [
+    (load_corpus, "# corpus", "u1\tD\tI\tplay [x](T)"),
+    (load_catalog, "#slot_type=City", "new york\t2"),
+    (load_grammar, "# grammar", "I\tD\t1\tplay {T}"),
+    (load_phrase_table, "# phrases", "a b ||| c ||| -1"),
+    (load_translations, "# translations", "u1\tc\t0-0\t0\t0\t0\t0\t0"),
+]
+
+
+@pytest.mark.parametrize("loader, first, line", LINE_FORMATS,
+                         ids=[f[0].__name__ for f in LINE_FORMATS])
+def test_bad_utf8_names_file_and_line(tmp_path, loader, first, line):
+    path = tmp_path / "data.txt"
+    # \r\n, \r and \n each end one line, as open() splits them
+    head = (first + "\r\n\r" + line + "\n").encode("utf-8")
+    path.write_bytes(head)
+    assert loader(path)
+    path.write_bytes(head + line[0].encode("utf-8") + b"\xff" + line[1:].encode("utf-8"))
+    with pytest.raises(FormatError, match="byte 0xff is not UTF-8") as err:
+        loader(path)
+    assert (err.value.path, err.value.line_no) == (path, 4)
 
 
 class TestCatalog:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mtnlu.corpus import Utterance, make_span
+from mtnlu.errors import FormatError
 from mtnlu.nlu import crf
 from mtnlu.nlu import (
     CrfModel,
@@ -409,5 +410,6 @@ class TestModelIO:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format":"other","version":1}', encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="not a version-1 crf-model file") as err:
             CrfModel.load(path)
+        assert err.value.path == path

@@ -167,7 +167,7 @@ class TestGazetteerIndex:
                   ("berlin",), ("nothing", "here")]
         for model, cls, feature_ids in (
             (crf, CrfModel, lambda m, t: [ids.tolist() for ids in m.feature_ids(t)]),
-            (maxent, MaxEntModel, lambda m, t: m._feature_ids(t).tolist()),
+            (maxent, MaxEntModel, lambda m, t: m.feature_ids(t).tolist()),
         ):
             path = tmp_path / ("%s.json" % cls.__name__)
             model.save(path)

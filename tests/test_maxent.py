@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from mtnlu.corpus import Utterance
+from mtnlu.errors import FormatError
 from mtnlu.nlu import (
     MaxEntModel,
     NluHypothesis,
@@ -191,6 +192,13 @@ class TestModelIO:
         for _ in range(10):
             tokens = tuple(rng.choice(VOCAB) for _ in range(rng.randint(1, 5)))
             assert intent_posteriors(model, tokens) == intent_posteriors(loaded, tokens)
+
+    def test_wrong_format_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format":"other","version":1}', encoding="utf-8")
+        with pytest.raises(FormatError, match="not a version-1 maxent-model file") as err:
+            MaxEntModel.load(path)
+        assert err.value.path == path
 
 
 class TestPredict:

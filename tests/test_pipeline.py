@@ -480,12 +480,13 @@ class TestFullRun:
         evaluate_only = run_config(config_path, stages=["evaluate"])
         assert evaluate_only.semer_report == full.semer_report
 
-    def test_evaluate_without_models_fails_the_stage(self, tmp_path):
+    def test_evaluate_without_models_fails_before_any_stage(self, tmp_path):
         config_path = toytask.build_workspace(
             tmp_path, config_update={"out_dir": "fresh"}
         )
-        with pytest.raises(StageFailure, match="evaluate"):
+        with pytest.raises(ConfigError, match="no trained model .*crf_model.json"):
             run_config(config_path, stages=["evaluate"])
+        assert not (tmp_path / "fresh" / "stage_reports.tsv").exists()
 
     def test_stage_failure_writes_partial_report(self, tmp_path):
         # retention without projected source ids fails inside the stage
@@ -521,16 +522,26 @@ class TestFullRun:
         def first_cells():
             return [line.split("\t")[:2] for line in report.read_text().splitlines()]
 
-        with pytest.raises(StageFailure, match="evaluate"):
-            run_config(config_path, stages=["evaluate"])
         # retention without projected source ids fails inside the stage
         with pytest.raises(StageFailure, match="postprocess"):
             run_config(config_path, stages=["postprocess"])
-        assert first_cells() == [["stage", "input"], ["# failed", "postprocess"],
-                                 ["# failed", "evaluate"]]
-        run_config(config_path, stages=["train", "evaluate"])
-        assert first_cells() == [["stage", "input"], ["train", "40"], ["evaluate", "10"],
+        # the score filter fails inside the stage on a translations file that
+        # lacks an utterance
+        run_config(config_path, stages=["translate"], out_dir=str(tmp_path / "t"))
+        translations = tmp_path / "t" / "translations.tsv"
+        lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "partial.tsv").write_text("".join(lines[1:]), encoding="utf-8")
+        config = json.loads(open(config_path).read())
+        config["translation"] = {"forward_translations": "partial.tsv"}
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(StageFailure, match="filter-score"):
+            run_config(str(partial), stages=["filter-score"])
+        assert first_cells() == [["stage", "input"], ["# failed", "filter-score"],
                                  ["# failed", "postprocess"]]
+        run_config(config_path, stages=["translate", "filter-score"])
+        assert first_cells() == [["stage", "input"], ["translate", "40"],
+                                 ["filter-score", "40"], ["# failed", "postprocess"]]
 
     def test_setup_reads_only_what_the_stages_use(self, tmp_path, monkeypatch):
         config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
