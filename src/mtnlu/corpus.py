@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -247,7 +248,7 @@ class CatalogEntry:
             raise ValueError("catalog entry must have at least one token")
         for t in self.tokens:
             _check_token(t)
-        if not (self.weight >= 0.0) or self.weight != self.weight:
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
             raise ValueError("catalog weight must be a finite non-negative number")
 
     @property
@@ -310,8 +311,6 @@ def load_catalog(path) -> Catalog:
                 weight = float(fields[1])
             except ValueError:
                 raise FormatError("bad weight %r" % fields[1], line_no, path) from None
-        if weight < 0:
-            raise FormatError("negative weight %r" % fields[1], line_no, path)
         try:
             entries.append(CatalogEntry(tuple(tokens), weight))
         except ValueError as exc:

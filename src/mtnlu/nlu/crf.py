@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..corpus import Catalog, SlotSpan, Utterance, make_span
 from .features import Gazetteers, sequence_features
-from .modelio import design_matrix, feature_ids, load_model, number_matrix, save_model, string_list
+from .modelio import (design_matrix, feature_ids, load_model, logsumexp, number_matrix,
+                      save_model, string_list)
 from .optim import TrainingConfig, minimize
 
 OUTSIDE = "O"

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..corpus import Catalog, Utterance
 from .features import Gazetteers, intent_features
-from .modelio import design_matrix, feature_ids, load_model, number_matrix, save_model, string_list
+from .modelio import (design_matrix, feature_ids, load_model, logsumexp, number_matrix,
+                      save_model, string_list)
 from .optim import TrainingConfig, minimize
 
 # the model file's own keys, besides the envelope that modelio writes

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mtnlu
 import toytask
 from mtnlu.cli import main
 from mtnlu.semer import SemerCounts, SemerReport, write_semer_report
@@ -107,11 +110,7 @@ class TestExitCodes:
 @pytest.fixture(scope="module")
 def trained_models(tmp_path_factory):
     """A workspace whose output directory holds a trained model pair."""
-    root = tmp_path_factory.mktemp("models")
-    config = toytask.build_workspace(root, n_train=30, n_test=10,
-                                     config_update={"stages": ["train"]})
-    assert main(["pipeline", "--config", config]) == 0
-    return config, root / "out"
+    return toytask.train_model_pair(tmp_path_factory.mktemp("models"))
 
 
 def _edit_json(edit):
@@ -122,7 +121,11 @@ def _edit_json(edit):
     return probe
 
 
-# (probe, corrupt the model file's bytes, what the error names)
+def _matrices(obj):
+    return [obj[key] for key in ("emissions", "transitions", "weights") if key in obj]
+
+
+# (probe, corrupt the model file's bytes, what the error names, or that per file)
 MODEL_FILE_PROBES = [
     ("array-root", lambda data: b"[" + data.strip() + b"]", "not a version-1"),
     ("truncated", lambda data: data[: len(data) // 2], "not a JSON file"),
@@ -133,6 +136,14 @@ MODEL_FILE_PROBES = [
     ("gazetteers-int", _edit_json(lambda obj: obj.update(gazetteers=[3])),
      "gazetteers must be a list"),
     ("dropped-feature", _edit_json(lambda obj: obj["features"].pop(1)), "shape mismatch"),
+    ("version-true", _edit_json(lambda obj: obj.update(version=True)), "not a version-1"),
+    ("unknown-key", _edit_json(lambda obj: obj.update(comment="x")), "unknown key 'comment'"),
+    # numpy would read these as 1.0 and 0.0 in a list of floats
+    ("first-matrix-true", _edit_json(lambda obj: _matrices(obj)[0][0].__setitem__(0, True)),
+     {"crf_model.json": "emissions must be a list", "intent_model.json": "weights must be a list"}),
+    ("last-matrix-false", _edit_json(lambda obj: _matrices(obj)[-1][-1].__setitem__(-1, False)),
+     {"crf_model.json": "transitions must be a list",
+      "intent_model.json": "weights must be a list"}),
 ]
 
 
@@ -150,7 +161,7 @@ def test_corrupted_model_file_exits_one(tmp_path, capsys, trained_models,
     assert main(["evaluate", "--config", config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: %s: " % path) and err.count("\n") == 1, err
-    assert message in err
+    assert (message[name] if isinstance(message, dict) else message) in err
     assert "Traceback" not in err
     assert not (out / "semer_report.tsv").exists()
 
@@ -279,6 +290,19 @@ class TestSampleGrammar:
         assert main(["sample-grammar", "--grammar", paths["grammar_train"],
                      "--count", "5", "--out", str(tmp_path / "x.tsv")]) == 1
 
+    def test_infinite_catalog_weight_exits_one(self, tmp_path, capsys):
+        paths = toytask.write_task_files(tmp_path)
+        catalog = tmp_path / "catalog_src_city.tsv"
+        catalog.write_text("#slot_type=City\nparis\nberlin\tinf\n", encoding="utf-8")
+        argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
+                "--out", str(tmp_path / "x.tsv")]
+        for c in paths["source_catalogs"]:
+            argv += ["--catalog", c]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s:3: " % catalog) and err.count("\n") == 1, err
+        assert not (tmp_path / "x.tsv").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -288,3 +312,52 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "pipeline" in proc.stdout
+
+
+_REPORT_SCIPY = (
+    "import sys; from mtnlu.cli import main; code = main(sys.argv[1:]); "
+    "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))); "
+    "sys.exit(code)"
+)
+
+
+def scipy_modules_after(argv):
+    """The scipy modules loaded in a fresh process after `mtnlu argv`; the
+    test process itself has imported scipy already."""
+    src = str(Path(mtnlu.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    """Only training imports scipy, and from it only scipy.sparse."""
+
+    def test_evaluate_imports_no_scipy(self, tmp_path, trained_models):
+        config, models = trained_models
+        shutil.copytree(models, tmp_path / "out")
+        argv = ["evaluate", "--config", config, "--out", str(tmp_path / "out")]
+        assert scipy_modules_after(argv) == set()
+        assert (tmp_path / "out" / "semer_report.tsv").exists()
+
+    def test_compare_imports_no_scipy(self, tmp_path):
+        a = write_report(tmp_path / "a.tsv", 2138)
+        b = write_report(tmp_path / "b.tsv", 2072)
+        assert scipy_modules_after(["compare", a, b]) == set()
+
+    def test_sample_grammar_imports_no_scipy(self, tmp_path):
+        paths = toytask.write_task_files(tmp_path)
+        argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
+                "--out", str(tmp_path / "x.tsv")]
+        for c in paths["source_catalogs"]:
+            argv += ["--catalog", c]
+        assert scipy_modules_after(argv) == set()
+
+    def test_train_imports_scipy_sparse_only(self, tmp_path):
+        config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
+        modules = scipy_modules_after(["train", "--config", config])
+        assert "scipy.sparse" in modules
+        assert "scipy.special" not in modules

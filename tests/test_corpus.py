@@ -238,6 +238,18 @@ class TestCatalog:
         with pytest.raises(FormatError):
             load_catalog(path)
 
+    @pytest.mark.parametrize("weight", ["inf", "Infinity", "nan"])
+    def test_non_finite_weight_names_file_and_line(self, tmp_path, weight):
+        path = tmp_path / "city.txt"
+        path.write_text("#slot_type=City\nparis\nberlin\t%s\n" % weight, encoding="utf-8")
+        with pytest.raises(FormatError, match="finite") as info:
+            load_catalog(path)
+        assert (info.value.path, info.value.line_no) == (path, 3)
+
+    def test_infinite_entry_weight_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            CatalogEntry(("berlin",), float("inf"))
+
     def test_empty_catalog_rejected(self, tmp_path):
         path = tmp_path / "city.txt"
         path.write_text("#slot_type=City\n", encoding="utf-8")

@@ -1,0 +1,128 @@
+"""What the CRF and MaxEnt models share: the numpy logsumexp and the catalog
+build that a model pair shares when it is loaded."""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+import toytask
+from mtnlu.errors import FormatError
+from mtnlu.nlu import crf, maxent, modelio, predict
+from mtnlu.nlu.modelio import logsumexp
+from mtnlu.pipeline import _load_models
+
+
+def assert_bit_equal(a, axis):
+    ours, theirs = logsumexp(a, axis), scipy_logsumexp(a, axis=axis)
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours, theirs), np.max(np.abs(ours - theirs))
+
+
+class TestLogsumexp:
+    """Bit-equal to scipy.special.logsumexp, which the package no longer imports."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_random_arrays(self, scale, axis):
+        gen = np.random.default_rng(int(scale * 1000) % 9973 + axis)
+        for _ in range(40):
+            shape = tuple(gen.integers(1, 7, size=3))
+            assert_bit_equal(scale * gen.normal(size=shape), axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_ties_at_the_maximum(self, axis):
+        gen = np.random.default_rng(5 + axis)
+        for scale in (1.0, 1e3, 1e6):
+            a = np.round(scale * gen.normal(size=(4, 5, 6)), -int(np.log10(scale)))
+            assert_bit_equal(a, axis)
+        assert_bit_equal(np.full((3, 4, 2), -7.25), axis)
+
+    def test_single_element(self):
+        for value in (0.0, -3.5, 1e6, -1e6):
+            assert_bit_equal(np.array([value]), 0)
+            assert_bit_equal(np.full((1, 1, 1), value), 1)
+
+    def test_crf_log_space_recursions_unchanged(self, monkeypatch):
+        # the log-space fallback runs at the line search's largest steps
+        gen = np.random.default_rng(17)
+        for scale in (1.0, 1e3, 1e6):
+            E = scale * gen.normal(size=(6, 5, 7))
+            transitions = scale * gen.normal(size=(7, 7))
+            ours = crf._log_forward_backward(E, transitions)
+            monkeypatch.setattr(crf, "logsumexp", scipy_logsumexp)
+            theirs = crf._log_forward_backward(E, transitions)
+            monkeypatch.undo()
+            for x, y in zip(ours, theirs):
+                assert np.array_equal(x, y)
+
+    def test_maxent_objective_unchanged(self, monkeypatch):
+        gen = np.random.default_rng(23)
+        X = modelio.design_matrix([gen.integers(0, 30, size=5) for _ in range(40)], 30)
+        y = gen.integers(0, 4, size=40)
+        for scale in (1.0, 1e3, 1e6):
+            weights = scale * gen.normal(size=(30, 4))
+            ours = maxent._nll_and_grad(X, y, weights, 0.1)
+            monkeypatch.setattr(maxent, "logsumexp", scipy_logsumexp)
+            theirs = maxent._nll_and_grad(X, y, weights, 0.1)
+            monkeypatch.undo()
+            assert ours[0] == theirs[0]
+            assert np.array_equal(ours[1], theirs[1])
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    _, out = toytask.train_model_pair(tmp_path_factory.mktemp("models"))
+    return out
+
+
+@pytest.fixture
+def models(tmp_path, trained_models, monkeypatch):
+    """A copy of the trained pair, loaded with no build left from earlier loads."""
+    monkeypatch.setattr(modelio, "_last_build", ("", {}))
+    out = tmp_path / "out"
+    shutil.copytree(trained_models, out)
+    return out
+
+
+def edit_intent_gazetteers(out, edit):
+    path = out / "intent_model.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    edit(obj["gazetteers"][0][1][0])  # the first [tokens, weight] entry
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+class TestSharedCatalogs:
+    def test_pair_shares_one_build(self, models, monkeypatch):
+        crf_model, maxent_model = _load_models(models)
+        assert crf_model.gazetteers and crf_model.gazetteers is not maxent_model.gazetteers
+        assert crf_model.gazetteers.keys() == maxent_model.gazetteers.keys()
+        for slot_type, catalog in crf_model.gazetteers.items():
+            assert maxent_model.gazetteers[slot_type] is catalog
+
+        monkeypatch.setattr(modelio, "_last_build", ("", {}))
+        fresh_crf = crf.CrfModel.load(models / "crf_model.json")
+        monkeypatch.setattr(modelio, "_last_build", ("", {}))
+        fresh_maxent = maxent.MaxEntModel.load(models / "intent_model.json")
+        assert fresh_crf.gazetteers["City"] is not fresh_maxent.gazetteers["City"]
+        for u in toytask.sample_target_test(20, 3):
+            assert predict(crf_model, maxent_model, u.tokens) == predict(
+                fresh_crf, fresh_maxent, u.tokens)
+
+    def test_different_gazetteers_get_their_own_build(self, models):
+        edit_intent_gazetteers(models, lambda entry: entry.__setitem__(1, 2.5))
+        crf_model, maxent_model = _load_models(models)
+        slot_type = sorted(crf_model.gazetteers)[0]
+        assert maxent_model.gazetteers[slot_type] is not crf_model.gazetteers[slot_type]
+        assert maxent_model.gazetteers[slot_type].entries[0].weight == 2.5
+        assert crf_model.gazetteers[slot_type].entries[0].weight != 2.5
+
+    def test_true_weight_is_not_mistaken_for_one(self, models):
+        # true == 1 == 1.0 in decoded JSON; the trained weights are 1.0
+        path = edit_intent_gazetteers(models, lambda entry: entry.__setitem__(1, True))
+        with pytest.raises(FormatError, match="gazetteers must be") as info:
+            _load_models(models)
+        assert str(info.value).startswith(str(path))

@@ -15,6 +15,7 @@ while leaving every slot intact.
 import json
 import random
 
+from mtnlu.cli import main
 from mtnlu.corpus import (
     Catalog,
     CatalogEntry,
@@ -280,3 +281,11 @@ def build_workspace(root, n_train=120, n_test=40, seed=7, config_update=None):
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     return str(config_path)
+
+
+def train_model_pair(root):
+    """Train a small model pair with `mtnlu pipeline`; returns the config path
+    and the output directory that holds crf_model.json and intent_model.json."""
+    config = build_workspace(root, n_train=30, n_test=10, config_update={"stages": ["train"]})
+    assert main(["pipeline", "--config", config]) == 0
+    return config, root / "out"
