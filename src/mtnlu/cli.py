@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corpus import load_catalogs, load_grammar, sample_grammar, save_corpus
+from .corpus import load_catalogs, load_grammar, sample_grammar, save_corpus, write_lines
 from .errors import MtnluError
 from .pipeline import (
     STAGES,
@@ -137,8 +137,7 @@ def _cmd_compare(args) -> int:
     table = format_comparison(compare_runs(baseline, condition))
     sys.stdout.write(table)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table)
+        write_lines(args.out, [table.removesuffix("\n")])
     return 0
 
 

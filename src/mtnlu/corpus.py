@@ -11,7 +11,9 @@ in ``[value tokens](SlotType)`` brackets::
 
 Lines starting with ``#`` and blank lines are ignored.  Catalogs (weighted
 value lists per slot type) and grammar templates come in their own line
-formats; see `load_catalog` and `load_grammar`.
+formats; see `load_catalog` and `load_grammar`.  Every line format of the
+package is read by `read_records` and every JSON file by `read_json`; every
+text file but the model files is written by `write_lines`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import json
 import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, FormatError
 
@@ -119,19 +122,16 @@ def parse_annotated_line(
 
     The line format carries no language; callers pass it in.
     """
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 4:
-        raise FormatError(
-            "expected 4 tab-separated fields, got %d" % len(fields), line_no, path
-        )
+    return read_records(path, functools.partial(_utterance, language), (4,),
+                        lines=[(line_no, line)])[0]
+
+
+def _utterance(language: str, *fields: str) -> Utterance:
     uid, domain, intent, markup = (f.strip() for f in fields)
     if not uid or not domain or not intent:
-        raise FormatError("empty id, domain, or intent field", line_no, path)
-    try:
-        tokens, slots = _parse_markup(markup)
-        return Utterance(uid, language, domain, intent, tokens, slots)
-    except ValueError as exc:
-        raise FormatError(str(exc), line_no, path) from exc
+        raise ValueError("empty id, domain, or intent field")
+    tokens, slots = _parse_markup(markup)
+    return Utterance(uid, language, domain, intent, tokens, slots)
 
 
 def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
@@ -217,24 +217,88 @@ def data_lines(path, header: bool = False) -> list[tuple[int, str]]:
     ]
 
 
+def checked(path, line_no: int | None, build: Callable, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a ValueError raised as a FormatError at
+    `path`:`line_no`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(str(exc), line_no, path) from exc
+
+
+def read_records(path, parse: Callable, widths: tuple[int, ...], sep: str = "\t",
+                 lines: list[tuple[int, str]] | None = None) -> list:
+    """`parse(*fields)` for each of the `data_lines` of `path` (or of `lines`),
+    split at `sep` into a number of fields that `widths` allows.  A wrong
+    field count, or a ValueError from `parse`, is a FormatError on its line."""
+    records = []
+    if lines is None:
+        lines = data_lines(path)
+    try:
+        for line_no, line in lines:
+            fields = line.rstrip("\n").split(sep)
+            if len(fields) not in widths:
+                raise ValueError("expected %s %s-separated fields, got %d" % (
+                    " or ".join(map(str, widths)), "tab" if sep == "\t" else repr(sep),
+                    len(fields)))
+            records.append(parse(*fields))
+    except ValueError as exc:
+        raise FormatError(str(exc), line_no, path) from exc
+    return records
+
+
+def number(text: str, what: str, kind: Callable = float):
+    """`kind(text)`; text it cannot read is a ValueError ``bad <what> '<text>'``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError("bad %s %r" % (what, text)) from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r" % key)
+        obj[key] = value
+    return obj
+
+
+def read_json(path, invalid: str = "not a JSON file"):
+    """The JSON value in the UTF-8 file at `path`.  Text that is not UTF-8 or
+    not JSON, or an object that repeats a key, is a FormatError that names the
+    file and starts with `invalid`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise FormatError("%s: %s" % (invalid, exc), path=path) from exc
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each of `lines` and a newline after it, as UTF-8 with ``\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
 def load_corpus(path, language: str = "") -> list[Utterance]:
     """Read an annotated corpus file; ids must be unique within the file."""
-    utterances: list[Utterance] = []
     seen: set[str] = set()
-    for line_no, line in data_lines(path):
-        u = parse_annotated_line(line, language, line_no, path)
+
+    def utterance(*fields: str) -> Utterance:
+        u = _utterance(language, *fields)
         if u.id in seen:
-            raise FormatError("duplicate utterance id %r" % u.id, line_no, path)
+            raise ValueError("duplicate utterance id %r" % u.id)
         seen.add(u.id)
-        utterances.append(u)
-    return utterances
+        return u
+
+    return read_records(path, utterance, (4,))
 
 
 def save_corpus(utterances: Iterable[Utterance], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in utterances:
-            fh.write(serialize_utterance(u))
-            fh.write("\n")
+    write_lines(path, map(serialize_utterance, utterances))
 
 
 @dataclass(frozen=True)
@@ -299,26 +363,12 @@ def load_catalog(path) -> Catalog:
     if not lines or not lines[0][1].startswith("#slot_type="):
         raise FormatError("catalog must start with #slot_type=<name>", 1, path)
     slot_type = lines[0][1][len("#slot_type=") :].strip()
-    entries: list[CatalogEntry] = []
-    for line_no, line in lines[1:]:
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) not in (1, 2):
-            raise FormatError("expected <value> or <value> TAB <weight>", line_no, path)
-        tokens = fields[0].split()
-        weight = 1.0
-        if len(fields) == 2:
-            try:
-                weight = float(fields[1])
-            except ValueError:
-                raise FormatError("bad weight %r" % fields[1], line_no, path) from None
-        try:
-            entries.append(CatalogEntry(tuple(tokens), weight))
-        except ValueError as exc:
-            raise FormatError(str(exc), line_no, path) from exc
-    try:
-        return Catalog(slot_type, tuple(entries))
-    except ValueError as exc:
-        raise FormatError(str(exc), None, path) from exc
+    entries = read_records(path, _catalog_entry, (1, 2), lines=lines[1:])
+    return checked(path, None, Catalog, slot_type, tuple(entries))
+
+
+def _catalog_entry(value: str, weight: str | None = None) -> CatalogEntry:
+    return CatalogEntry(tuple(value.split()), 1.0 if weight is None else number(weight, "weight"))
 
 
 def load_catalogs(paths) -> dict[str, Catalog]:
@@ -364,24 +414,12 @@ class GrammarTemplate:
 
 def load_grammar(path) -> list[GrammarTemplate]:
     """Read grammar lines: ``intent TAB domain TAB weight TAB pattern``."""
-    templates: list[GrammarTemplate] = []
-    for line_no, line in data_lines(path):
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 4:
-            raise FormatError("expected 4 tab-separated fields, got %d" % len(fields),
-                              line_no, path)
-        intent, domain, weight_s, pattern = fields
-        try:
-            weight = float(weight_s)
-        except ValueError:
-            raise FormatError("bad weight %r" % weight_s, line_no, path) from None
-        try:
-            templates.append(
-                GrammarTemplate(intent.strip(), domain.strip(), tuple(pattern.split()), weight)
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc), line_no, path) from exc
-    return templates
+    return read_records(path, _template, (4,))
+
+
+def _template(intent: str, domain: str, weight: str, pattern: str) -> GrammarTemplate:
+    return GrammarTemplate(intent.strip(), domain.strip(), tuple(pattern.split()),
+                           number(weight, "weight"))
 
 
 def sample_grammar(

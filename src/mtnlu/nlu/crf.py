@@ -94,6 +94,8 @@ class CrfModel:
         self.emissions = np.asarray(self.emissions, dtype=float)
         self.transitions = np.asarray(self.transitions, dtype=float)
         L = len(self.labels)
+        if len(set(self.labels)) < L:
+            raise ValueError("label set repeats a label")
         if OUTSIDE not in self.labels:
             raise ValueError("label set must contain O")
         types = {lab[2:] for lab in self.labels if lab != OUTSIDE}

@@ -34,6 +34,8 @@ class MaxEntModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if not self.intents:
             raise ValueError("intent set must be non-empty")
+        if len(set(self.intents)) < len(self.intents):
+            raise ValueError("intent set repeats an intent")
         if self.weights.shape != (len(self.feature_index), len(self.intents)):
             raise ValueError("weights shape mismatch")
         if not np.all(np.isfinite(self.weights)):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, CatalogEntry
+from ..corpus import Catalog, CatalogEntry, checked, read_json
 from ..errors import FormatError
 
 
@@ -131,11 +131,7 @@ def save_model(model, path, fmt: str, keys: Iterable[str]) -> None:
 def load_model(cls, path, fmt: str, keys: Mapping[str, Callable]):
     """The `cls` model in the `fmt` file at `path`; `keys` maps each of the
     model's own keys to the function that checks and converts its value."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise FormatError("not a JSON file: %s" % exc, path=path) from exc
+    obj = read_json(path)
     if not (isinstance(obj, dict) and obj.get("format") == fmt
             and type(obj.get("version")) is int and obj["version"] == 1):
         raise FormatError("not a version-1 %s file" % fmt, path=path)
@@ -152,7 +148,4 @@ def load_model(cls, path, fmt: str, keys: Mapping[str, Callable]):
         except ValueError as exc:
             raise FormatError("%s %s" % (key, exc), path=path) from exc
     features = values.pop("features")
-    try:
-        return cls(feature_index={f: i for i, f in enumerate(features)}, **values)
-    except ValueError as exc:
-        raise FormatError(str(exc), path=path) from exc
+    return checked(path, None, cls, feature_index={f: i for i, f in enumerate(features)}, **values)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -26,8 +27,10 @@ from .corpus import (
     Utterance,
     load_catalogs,
     load_corpus,
+    read_json,
     save_corpus,
     serialize_utterance,
+    write_lines,
 )
 from .errors import ConfigError, FormatError, MtnluError
 from .filtering import (
@@ -226,8 +229,8 @@ def _is_kind(kind, value) -> bool:
         return isinstance(value, bool)
     if isinstance(value, bool):
         return False
-    if kind is float:
-        return isinstance(value, (int, float))
+    if kind is float:  # finite; an int beyond the float range is not finite either
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if kind is InputPath:
         return isinstance(value, str) and value != ""
     return isinstance(value, kind)
@@ -319,11 +322,11 @@ def load_pipeline_config(
     """
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = read_json(path, "config is not valid JSON")
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config is not valid JSON: %s" % exc) from exc
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     base = path.resolve().parent
@@ -375,9 +378,7 @@ class _State:
 
 
 def _write_removed(path: Path, removed: Sequence[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for uid, reason in removed:
-            fh.write("%s\t%s\n" % (uid, reason))
+    write_lines(path, ("%s\t%s" % r for r in removed))
 
 
 def format_removed(counts: Mapping[str, int]) -> str:
@@ -415,8 +416,7 @@ def _write_stage_reports(
     lines = ["stage\tinput\toutput\tremoved\tfingerprint"]
     lines += [rows[s] for s in STAGES if s in rows]
     lines += [failures[s] for s in STAGES if s in failures]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 # --- translator construction --------------------------------------------------
@@ -495,11 +495,10 @@ def _stage_filter_semantic(config: PipelineConfig, state: _State, out: Path):
 
 def _stage_filter_score(config: PipelineConfig, state: _State, out: Path):
     stats = compute_domain_stats(state.working, state.translations)
-    with open(out / "score_stats.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("domain\tmean\tstdev\tcount\n")
-        for domain in sorted(stats):
-            st = stats[domain]
-            fh.write("%s\t%r\t%r\t%d\n" % (domain, st.mean, st.stdev, st.count))
+    write_lines(out / "score_stats.tsv", ["domain\tmean\tstdev\tcount"] + [
+        "%s\t%r\t%r\t%d" % (domain, st.mean, st.stdev, st.count)
+        for domain, st in sorted(stats.items())
+    ])
     outcome = score_filter(
         state.working, state.translations, stats, config.filter.score_multiplier
     )
@@ -516,9 +515,7 @@ def _stage_postprocess(config: PipelineConfig, state: _State, out: Path):
         state.working, state.source, state.catalogs, pp_config, stats
     )
     save_corpus(state.working, out / "corpus_postprocessed.tsv")
-    with open(out / "postprocess_stats.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(stats):
-            fh.write("%s\t%d\n" % (key, stats[key]))
+    write_lines(out / "postprocess_stats.tsv", ("%s\t%d" % kv for kv in sorted(stats.items())))
     return []
 
 
@@ -535,13 +532,14 @@ def _stage_evaluate(config: PipelineConfig, state: _State, out: Path):
     report = semer(state.test, hypotheses)
     state.semer_report = report
     write_semer_report(report, out / "semer_report.tsv")
-    with open(out / "hypotheses.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for u in state.test:
-            hyp = hypotheses[u.id]
-            rendered = serialize_utterance(
-                Utterance(u.id, u.language, u.domain, hyp.intent, u.tokens, hyp.slots)
-            )
-            fh.write("%s\t%.6f\n" % (rendered, hyp.intent_confidence))
+    lines = []
+    for u in state.test:
+        hyp = hypotheses[u.id]
+        rendered = serialize_utterance(
+            Utterance(u.id, u.language, u.domain, hyp.intent, u.tokens, hyp.slots)
+        )
+        lines.append("%s\t%.6f" % (rendered, hyp.intent_confidence))
+    write_lines(out / "hypotheses.tsv", lines)
     return []
 
 
@@ -624,9 +622,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = config.fingerprint()
-    payload = json.dumps(config.effective(), sort_keys=True, indent=2)
-    with open(out / "effective_config.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload + "\n")
+    write_lines(out / "effective_config.json",
+                [json.dumps(config.effective(), sort_keys=True, indent=2)])
 
     state = _setup(config)
     reports: list[StageReport] = []

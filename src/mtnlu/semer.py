@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import SlotSpan, Utterance
+from .corpus import SlotSpan, Utterance, checked, data_lines, read_records, write_lines
 from .errors import FormatError
 from .nlu import NluHypothesis
 
@@ -138,46 +138,33 @@ def write_semer_report(report: SemerReport, path: str) -> None:
     lines = [_REPORT_HEADER, _report_row("overall", "-", report.overall)]
     for domain in sorted(report.per_domain):
         lines.append(_report_row("domain", domain, report.per_domain[domain]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_semer_report(path: str) -> SemerReport:
     """Parse a report file; integer counts are authoritative, the printed
     4-decimal ratio is presentational only."""
+    lines = [(n, line) for n, line in data_lines(path) if line.rstrip("\n") != _REPORT_HEADER]
     overall: SemerCounts | None = None
     per_domain: dict[str, SemerCounts] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line == _REPORT_HEADER:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 9:
-                raise FormatError("expected 9 tab-separated fields",
-                                  line_no=line_no, path=path)
-            segment, name = fields[0], fields[1]
-            try:
-                ref, ie, sub, dele, ins, errors = (int(x) for x in fields[2:8])
-                counts = SemerCounts(ref, ie, sub, dele, ins)
-            except ValueError as exc:
-                raise FormatError(str(exc), line_no=line_no, path=path) from exc
-            if counts.errors != errors:
-                raise FormatError("error total does not match its parts",
-                                  line_no=line_no, path=path)
-            if segment == "overall":
-                overall = counts
-            elif segment == "domain":
-                per_domain[name] = counts
-            else:
-                raise FormatError("unknown segment %r" % segment,
-                                  line_no=line_no, path=path)
+    for segment, name, counts in read_records(path, _parse_row, (9,), lines=lines):
+        if segment == "overall":
+            overall = counts
+        else:
+            per_domain[name] = counts
     if overall is None:
         raise FormatError("no overall row", path=path)
-    try:
-        return SemerReport(overall, per_domain)
-    except ValueError as exc:
-        raise FormatError(str(exc), path=path) from exc
+    return checked(path, None, SemerReport, overall, per_domain)
+
+
+def _parse_row(segment: str, name: str, *fields: str) -> tuple[str, str, SemerCounts]:
+    ref, ie, sub, dele, ins, errors = (int(x) for x in fields[:6])
+    counts = SemerCounts(ref, ie, sub, dele, ins)
+    if counts.errors != errors:
+        raise ValueError("error total does not match its parts")
+    if segment not in ("overall", "domain"):
+        raise ValueError("unknown segment %r" % segment)
+    return segment, name, counts
 
 
 class ComparisonRow(NamedTuple):

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus import Utterance, data_lines, make_span
-from .errors import FormatError, MtnluError
+from .corpus import Utterance, make_span, number, read_records, write_lines
+from .errors import MtnluError
 
 log = logging.getLogger(__name__)
 
@@ -170,21 +170,14 @@ class PhraseTableModel:
 
 def load_phrase_table(path) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
     """Read ``src ||| tgt ||| logscore`` lines."""
-    pairs = []
-    for line_no, line in data_lines(path):
-        fields = line.rstrip("\n").split("|||")
-        if len(fields) != 3:
-            raise FormatError("expected src ||| tgt ||| logscore", line_no, path)
-        src = tuple(fields[0].split())
-        tgt = tuple(fields[1].split())
-        if not src or not tgt:
-            raise FormatError("empty phrase side", line_no, path)
-        try:
-            score = float(fields[2])
-        except ValueError:
-            raise FormatError("bad score %r" % fields[2].strip(), line_no, path) from None
-        pairs.append((src, tgt, score))
-    return pairs
+    return read_records(path, _phrase_pair, (3,), sep="|||")
+
+
+def _phrase_pair(src: str, tgt: str, score: str) -> tuple[tuple[str, ...], tuple[str, ...], float]:
+    src_t, tgt_t = tuple(src.split()), tuple(tgt.split())
+    if not src_t or not tgt_t:
+        raise ValueError("empty phrase side")
+    return src_t, tgt_t, number(score.strip(), "score")
 
 
 # --- decoding ---------------------------------------------------------------
@@ -395,62 +388,45 @@ def load_translations(path) -> dict[str, TranslationResult]:
     ``0-0 1-2``, then tm, lm, reordering, word penalty, and total scores.
     Duplicate ids keep the last line and are logged.
     """
-    results: dict[str, TranslationResult] = {}
-    duplicates = 0
-    for line_no, line in data_lines(path):
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 8:
-            raise FormatError("expected 8 tab-separated fields, got %d" % len(fields),
-                              line_no, path)
-        uid = fields[0].strip()
-        tokens = tuple(fields[1].split())
-        pairs = set()
-        for chunk in fields[2].split():
-            s_str, dash, t_str = chunk.partition("-")
-            if not dash:
-                raise FormatError("bad alignment pair %r" % chunk, line_no, path)
-            try:
-                pairs.add((int(s_str), int(t_str)))
-            except ValueError:
-                raise FormatError("bad alignment pair %r" % chunk, line_no, path) from None
-        try:
-            tm, lm, reord, wp, total = (float(x) for x in fields[3:8])
-        except ValueError:
-            raise FormatError("bad score field", line_no, path) from None
-        try:
-            result = TranslationResult(uid, tokens, frozenset(pairs),
-                                       TranslationScores(tm, lm, reord, wp, total))
-        except ValueError as exc:
-            raise FormatError(str(exc), line_no, path) from exc
-        if uid in results:
-            duplicates += 1
-        results[uid] = result
-    if duplicates:
-        log.warning("%s: %d duplicate translation id(s); kept the last", path, duplicates)
+    records = read_records(path, _translation, (8,))
+    results = {r.source_id: r for r in records}
+    if len(results) < len(records):
+        log.warning("%s: %d duplicate translation id(s); kept the last",
+                    path, len(records) - len(results))
     return results
+
+
+def _translation(uid: str, target: str, alignment: str, *scores: str) -> TranslationResult:
+    pairs = frozenset(number(chunk, "alignment pair", _alignment_pair)
+                      for chunk in alignment.split())
+    return TranslationResult(uid.strip(), tuple(target.split()), pairs,
+                             TranslationScores(*(number(s, "score field") for s in scores)))
+
+
+def _alignment_pair(chunk: str) -> tuple[int, int]:
+    s_str, dash, t_str = chunk.partition("-")
+    if not dash:
+        raise ValueError
+    return int(s_str), int(t_str)
 
 
 def save_translations(results: Mapping[str, TranslationResult], path) -> None:
     """Inverse of `load_translations`; alignment pairs are written sorted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for uid, r in results.items():
-            pairs = " ".join("%d-%d" % p for p in sorted(r.alignment))
-            s = r.scores
-            fh.write(
-                "\t".join(
-                    [
-                        uid,
-                        " ".join(r.target_tokens),
-                        pairs,
-                        repr(s.tm),
-                        repr(s.lm),
-                        repr(s.reordering),
-                        repr(s.word_penalty),
-                        repr(s.weighted_total),
-                    ]
-                )
-                + "\n"
-            )
+    write_lines(path, (
+        "\t".join(
+            [
+                uid,
+                " ".join(r.target_tokens),
+                " ".join("%d-%d" % p for p in sorted(r.alignment)),
+                repr(r.scores.tm),
+                repr(r.scores.lm),
+                repr(r.scores.reordering),
+                repr(r.scores.word_penalty),
+                repr(r.scores.weighted_total),
+            ]
+        )
+        for uid, r in results.items()
+    ))
 
 
 # --- translator interface ---------------------------------------------------

@@ -74,6 +74,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data.replace(b"{", b'{"seed": 8,', 1), "repeated key 'seed'"),
+        (lambda data: b"\xff" + data, "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["repeated-key", "leading-0xff"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, corrupt, message):
+        config = Path(toytask.build_workspace(tmp_path, n_train=4, n_test=2))
+        config.write_bytes(corrupt(config.read_bytes()))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: config is not valid JSON: " % config), err
+        assert message in err and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_resample_catalog_exits_one_before_any_stage(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
             "postprocess": {"resample_slots": ["Nowhere"]}})
@@ -125,6 +138,10 @@ def _matrices(obj):
     return [obj[key] for key in ("emissions", "transitions", "weights") if key in obj]
 
 
+def _names(obj):
+    return obj["labels"] if "labels" in obj else obj["intents"]
+
+
 # (probe, corrupt the model file's bytes, what the error names, or that per file)
 MODEL_FILE_PROBES = [
     ("array-root", lambda data: b"[" + data.strip() + b"]", "not a version-1"),
@@ -138,6 +155,11 @@ MODEL_FILE_PROBES = [
     ("dropped-feature", _edit_json(lambda obj: obj["features"].pop(1)), "shape mismatch"),
     ("version-true", _edit_json(lambda obj: obj.update(version=True)), "not a version-1"),
     ("unknown-key", _edit_json(lambda obj: obj.update(comment="x")), "unknown key 'comment'"),
+    # json.load alone would keep the last of the two values
+    ("repeated-key", lambda data: data.replace(b"{", b'{"l2":7.0,', 1), "repeated key 'l2'"),
+    ("repeated-name", _edit_json(lambda obj: _names(obj).__setitem__(1, _names(obj)[0])),
+     {"crf_model.json": "label set repeats a label",
+      "intent_model.json": "intent set repeats an intent"}),
     # numpy would read these as 1.0 and 0.0 in a list of floats
     ("first-matrix-true", _edit_json(lambda obj: _matrices(obj)[0][0].__setitem__(0, True)),
      {"crf_model.json": "emissions must be a list", "intent_model.json": "weights must be a list"}),

@@ -20,6 +20,7 @@ from mtnlu.corpus import (
     serialize_utterance,
 )
 from mtnlu.errors import ConfigError, FormatError
+from mtnlu.semer import read_semer_report
 from mtnlu.translate import load_phrase_table, load_translations
 
 
@@ -196,6 +197,10 @@ LINE_FORMATS = [
     (load_grammar, "# grammar", "I\tD\t1\tplay {T}"),
     (load_phrase_table, "# phrases", "a b ||| c ||| -1"),
     (load_translations, "# translations", "u1\tc\t0-0\t0\t0\t0\t0\t0"),
+    (read_semer_report,
+     "segment\tname\treference_count\tintent_errors\tsubstitutions\tdeletions"
+     "\tinsertions\terrors\tsemer",
+     "overall\t-\t2\t1\t0\t0\t0\t1\t0.5000"),
 ]
 
 
@@ -211,6 +216,20 @@ def test_bad_utf8_names_file_and_line(tmp_path, loader, first, line):
     with pytest.raises(FormatError, match="byte 0xff is not UTF-8") as err:
         loader(path)
     assert (err.value.path, err.value.line_no) == (path, 4)
+
+
+@pytest.mark.parametrize("loader, first, line", LINE_FORMATS,
+                         ids=[f[0].__name__ for f in LINE_FORMATS])
+def test_wrong_field_count_names_file_and_line(tmp_path, loader, first, line):
+    sep = "|||" if "|||" in line else "\t"
+    width = len(line.split(sep))
+    kind = "'|||'" if sep == "|||" else "tab"
+    path = tmp_path / "data.txt"
+    path.write_text("%s\n%s\n\n%s%sx\n" % (first, line, line, sep), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert (err.value.path, err.value.line_no) == (path, 4)
+    assert err.value.message.endswith("%s-separated fields, got %d" % (kind, width + 1))
 
 
 class TestCatalog:

@@ -122,6 +122,12 @@ class TestConfigValueTypes:
             ({"postprocess": {"mix_probability": 1.5}}, r"mix_probability must lie in \[0, 1\]"),
             ({"translation": []}, "translation must be a JSON object, got \\[\\]"),
             ({"filter": None}, "filter must be a JSON object, got null"),
+            ({"training": {"l2": float("nan")}}, "l2 must be a number, got NaN"),
+            ({"training": {"l2": float("inf")}}, "l2 must be a number, got Infinity"),
+            ({"training": {"l2": 10 ** 400}}, "l2 must be a number"),
+            ({"training": {"tolerance": float("nan")}}, "tolerance must be a number"),
+            ({"translation": {"weights": [1, 1, float("-inf"), 1]}},
+             "weights must be a list of 4 numbers"),
         ],
     )
     def test_rejected(self, tmp_path, update, message):
