@@ -197,22 +197,28 @@ def serialize_utterance(utterance: Utterance) -> str:
     )
 
 
-def data_lines(path, header: bool = False) -> list[tuple[int, str]]:
-    """(line number, line) of each line that is neither blank nor a ``#``
-    comment (with `header`, line 1 is always kept), split as `open` splits a
-    UTF-8 text file.  A byte that is not UTF-8 is a FormatError on its line."""
+def text_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) of every line of the UTF-8 text file at `path`,
+    split as `open` splits it; a leading byte-order mark is dropped.  A byte
+    that is not UTF-8 is a FormatError on its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]
+        before = exc.object[: exc.start]  # after the byte-order mark, if any
         line_no = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        raise FormatError("byte 0x%02x is not UTF-8 (%s)" % (data[exc.start], exc.reason),
+        raise FormatError("byte 0x%02x is not UTF-8 (%s)" % (exc.object[exc.start], exc.reason),
                           line_no, path) from exc
+    return list(enumerate(io.StringIO(text, newline=None), 1))
+
+
+def data_lines(path, header: bool = False) -> list[tuple[int, str]]:
+    """The `text_lines` of `path` that are neither blank nor a ``#`` comment
+    (with `header`, line 1 is always kept)."""
     return [
         (line_no, line)
-        for line_no, line in enumerate(io.StringIO(text, newline=None), 1)
+        for line_no, line in text_lines(path)
         if (header and line_no == 1) or (line.strip() and not line.lstrip().startswith("#"))
     ]
 
@@ -265,11 +271,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_json(path, invalid: str = "not a JSON file"):
-    """The JSON value in the UTF-8 file at `path`.  Text that is not UTF-8 or
-    not JSON, or an object that repeats a key, is a FormatError that names the
-    file and starts with `invalid`."""
+    """The JSON value in the UTF-8 file at `path`, after a leading byte-order
+    mark if there is one.  Text that is not UTF-8 or not JSON, or an object
+    that repeats a key, is a FormatError that names the file and starts with
+    `invalid`."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise FormatError("%s: %s" % (invalid, exc), path=path) from exc

@@ -105,7 +105,7 @@ def roundtrip_filter(
     source_corpus: Sequence[Utterance],
     forward: Translator,
     backward: Translator,
-    source_nlu: tuple[CrfModel, MaxEntModel],
+    source_nlu: tuple[CrfModel | None, MaxEntModel],
     config: FilterConfig,
     target_language: str = "",
 ) -> FilterOutcome:
@@ -117,9 +117,12 @@ def roundtrip_filter(
     utterance only when the two NLU readings agree (see FilterConfig for the
     agreement criterion).  A missing translation in either direction removes
     the utterance with NO_TRANSLATION; projection failures remove it with
-    the projection's reason.
+    the projection's reason.  The slot tagger of `source_nlu` is read only
+    in the INTENT_SLOTS mode, and may be None in the others.
     """
     crf, maxent = source_nlu
+    if crf is None and config.mode == MODE_INTENT_SLOTS:
+        raise ValueError("the %s filter mode needs a source slot tagger" % MODE_INTENT_SLOTS)
     kept: list[Utterance] = []
     removed: list[tuple[str, str]] = []
     for u in source_corpus:

@@ -360,9 +360,8 @@ def train_slot_tagger(
         value, g_em, g_tr = design.nll_and_grad(em, tr, hyper.l2)
         return value, np.concatenate([g_em.ravel(), g_tr.ravel()])
 
-    result = minimize(
-        fun_grad, np.zeros(F * L + L * L), hyper.max_iterations, hyper.tolerance
-    )
+    result = minimize(fun_grad, np.zeros(F * L + L * L), hyper.max_iterations,
+                      hyper.tolerance, name="CRF slot tagger")
     return CrfModel(
         labels=labels,
         feature_index=feature_index,

@@ -120,7 +120,8 @@ def train_intent_classifier(
         value, grad = _nll_and_grad(X, y_arr, x.reshape(F, K), hyper.l2)
         return value, grad.ravel()
 
-    result = minimize(fun_grad, np.zeros(F * K), hyper.max_iterations, hyper.tolerance)
+    result = minimize(fun_grad, np.zeros(F * K), hyper.max_iterations, hyper.tolerance,
+                      name="MaxEnt intent classifier")
     return MaxEntModel(
         intents=intents,
         feature_index=feature_index,

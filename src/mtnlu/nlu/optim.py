@@ -11,11 +11,14 @@ finite differences.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ def minimize(
     x0: np.ndarray,
     max_iterations: int,
     tolerance: float,
+    name: str = "objective",
 ) -> MinimizeResult:
     """Minimize a smooth function returning (value, gradient).
 
     Converged means max |gradient| <= tolerance.  Stops after
     `max_iterations` accepted steps, or early when no step along a descent
-    direction lowers the objective at float precision.
+    direction lowers the objective at float precision.  Stopping at
+    `max_iterations` without converging logs a warning that names `name`.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
@@ -112,5 +117,8 @@ def minimize(
         values.append(f)
         iterations += 1
         converged = bool(np.max(np.abs(g), initial=0.0) <= tolerance)
+    if not converged and iterations == max_iterations:
+        log.warning("%s did not converge in %d iterations: max |gradient| %.3g > tolerance %g",
+                    name, iterations, np.max(np.abs(g), initial=0.0), tolerance)
     return MinimizeResult(x, values, iterations, converged)
 

@@ -30,10 +30,12 @@ from .corpus import (
     read_json,
     save_corpus,
     serialize_utterance,
+    text_lines,
     write_lines,
 )
 from .errors import ConfigError, FormatError, MtnluError
 from .filtering import (
+    MODE_INTENT_SLOTS,
     NO_TRANSLATION,
     FilterConfig,
     compute_domain_stats,
@@ -388,14 +390,25 @@ def format_removed(counts: Mapping[str, int]) -> str:
     return ",".join("%s=%d" % (k, v) for k, v in sorted(counts.items()))
 
 
+def _read_stage_reports(path: Path) -> list[str]:
+    """The rows, `# failed` rows included, of the stage report an earlier run
+    wrote to `path`; none if there is no such file."""
+    if not path.exists():
+        return []
+    return [line.rstrip("\n") for _, line in text_lines(path)[1:]]
+
+
 def _write_stage_reports(
-    path: Path, reports: Sequence[StageReport], failed: tuple[str, BaseException] | None
+    path: Path,
+    reports: Sequence[StageReport],
+    failed: tuple[str, BaseException] | None,
+    earlier: Sequence[str],
 ) -> None:
     """One row per stage in STAGES order, then the `# failed` lines.
 
-    Rows and failures that an earlier run wrote to `path` are kept for the
-    stages this run did not execute, so a run of some stages does not erase
-    the record of the others; each row keeps its own fingerprint.
+    The `earlier` rows and failures (see `_read_stage_reports`) are kept for
+    the stages this run did not execute, so a run of some stages does not
+    erase the record of the others; each row keeps its own fingerprint.
     """
     rows = {
         r.stage: "%s\t%d\t%d\t%s\t%s" % (r.stage, r.input_count, r.output_count,
@@ -406,13 +419,12 @@ def _write_stage_reports(
     if failed is not None:
         failures[failed[0]] = "# failed\t%s\t%s" % (failed[0], " ".join(str(failed[1]).split()))
     executed = set(rows) | set(failures)
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-            cells = line.split("\t")
-            failure = cells[0] == "# failed" and len(cells) > 1
-            stage = cells[1] if failure else cells[0]
-            if stage in STAGES and stage not in executed:
-                (failures if failure else rows)[stage] = line
+    for line in earlier:
+        cells = line.split("\t")
+        failure = cells[0] == "# failed" and len(cells) > 1
+        stage = cells[1] if failure else cells[0]
+        if stage in STAGES and stage not in executed:
+            (failures if failure else rows)[stage] = line
     lines = ["stage\tinput\toutput\tremoved\tfingerprint"]
     lines += [rows[s] for s in STAGES if s in rows]
     lines += [failures[s] for s in STAGES if s in failures]
@@ -475,7 +487,9 @@ def _stage_project(config: PipelineConfig, state: _State, out: Path):
 
 
 def _stage_filter_semantic(config: PipelineConfig, state: _State, out: Path):
-    crf = train_slot_tagger(state.source, config.training, state.source_catalogs)
+    crf = None  # only the INTENT_SLOTS mode reads source slots
+    if config.filter.mode == MODE_INTENT_SLOTS:
+        crf = train_slot_tagger(state.source, config.training, state.source_catalogs)
     maxent = train_intent_classifier(state.source, config.training, state.source_catalogs)
     working_ids = {u.id for u in state.working}
     survivors = [u for u in state.source if u.id in working_ids]
@@ -621,6 +635,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    earlier_reports = _read_stage_reports(out / "stage_reports.tsv")
     fingerprint = config.fingerprint()
     write_lines(out / "effective_config.json",
                 [json.dumps(config.effective(), sort_keys=True, indent=2)])
@@ -646,7 +661,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 fingerprint=fingerprint,
             )
         )
-    _write_stage_reports(out / "stage_reports.tsv", reports, failed)
+    _write_stage_reports(out / "stage_reports.tsv", reports, failed, earlier_reports)
     if failed is not None:
         raise StageFailure(failed[0], failed[1]) from failed[1]
     return PipelineResult(

@@ -188,6 +188,24 @@ def test_corrupted_model_file_exits_one(tmp_path, capsys, trained_models,
     assert not (out / "semer_report.tsv").exists()
 
 
+def test_stage_report_not_utf8_exits_one_before_any_stage(tmp_path, capsys, trained_models):
+    config, models = trained_models
+    out = tmp_path / "out"
+    shutil.copytree(models, out)
+    assert main(["evaluate", "--config", config, "--out", str(out)]) == 0
+    report = out / "stage_reports.tsv"
+    lines = report.read_bytes().count(b"\n")
+    report.write_bytes(report.read_bytes() + b"\xff")
+    evaluation = {name: (out / name).read_bytes()
+                  for name in ("semer_report.tsv", "hypotheses.tsv")}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s:%d: byte 0xff is not UTF-8 (invalid start byte)\n" % (
+        report, lines + 1)
+    assert {name: (out / name).read_bytes() for name in evaluation} == evaluation
+
+
 class TestRunCommands:
     def test_full_pipeline(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, n_train=80, n_test=25)

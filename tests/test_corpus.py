@@ -220,6 +220,21 @@ def test_bad_utf8_names_file_and_line(tmp_path, loader, first, line):
 
 @pytest.mark.parametrize("loader, first, line", LINE_FORMATS,
                          ids=[f[0].__name__ for f in LINE_FORMATS])
+def test_byte_order_mark_is_dropped(tmp_path, loader, first, line):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    text = "%s\n%s\n" % (first, line)
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert loader(marked) == loader(plain)
+    # formats without a header: the mark can stand right before a data line
+    if first.startswith("# "):
+        marked.write_text(line + "\n", encoding="utf-8-sig")
+        assert loader(marked) == loader(plain)
+
+
+@pytest.mark.parametrize("loader, first, line", LINE_FORMATS,
+                         ids=[f[0].__name__ for f in LINE_FORMATS])
 def test_wrong_field_count_names_file_and_line(tmp_path, loader, first, line):
     sep = "|||" if "|||" in line else "\t"
     width = len(line.split(sep))
@@ -233,6 +248,11 @@ def test_wrong_field_count_names_file_and_line(tmp_path, loader, first, line):
 
 
 class TestCatalog:
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        path = tmp_path / "city.txt"
+        path.write_text("#slot_type=City\nberlin\n", encoding="utf-8-sig")
+        assert load_catalog(path).slot_type == "City"
+
     def test_load_with_weights(self, tmp_path):
         path = tmp_path / "city.txt"
         path.write_text(

@@ -1,6 +1,7 @@
 """Slot tagger: objective math, decoding, BIO handling, training, model IO."""
 
 import itertools
+import logging
 import math
 import random
 
@@ -19,6 +20,7 @@ from mtnlu.nlu import (
     crf_objective,
     minimize,
     tag_slots,
+    train_intent_classifier,
     train_slot_tagger,
     viterbi,
 )
@@ -358,6 +360,22 @@ class TestTraining:
         result = minimize(fun_grad, np.zeros(F * L + L * L), 300, 1e-6)
         assert result.converged and result.iterations < 300
         assert np.max(np.abs(fun_grad(result.x)[1])) <= 1e-6
+
+    @pytest.mark.parametrize("train, name", [
+        (train_slot_tagger, "CRF slot tagger"),
+        (train_intent_classifier, "MaxEnt intent classifier"),
+    ])
+    def test_stopping_at_the_iteration_cap_logs_one_warning(self, caplog, train, name):
+        corpus = [Utterance(u.id, u.language, u.domain, "I%d" % (k % 2), u.tokens, u.slots)
+                  for k, u in enumerate(random_corpus(random.Random(17), 12))]
+        with caplog.at_level(logging.WARNING):
+            train(corpus, TrainingConfig(max_iterations=3))
+        assert [(r.levelno, r.getMessage().split(":")[0]) for r in caplog.records] == [
+            (logging.WARNING, "%s did not converge in 3 iterations" % name)]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            train(corpus, TrainingConfig(max_iterations=300, tolerance=1e-3))
+        assert caplog.records == []
 
     def test_doubling_l2_does_not_increase_weight_norm(self):
         rng = random.Random(23)

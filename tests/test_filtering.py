@@ -258,6 +258,46 @@ class TestRoundtripFilter:
         assert kept_slots <= kept_intent
 
 
+class TestSourceSlotTagger:
+    """Only the INTENT_SLOTS mode reads the source slot tagger."""
+
+    @pytest.fixture(scope="class")
+    def nlu(self):
+        return play_nlu()
+
+    CORPUS = [
+        utt("u1", "Play", "play queen", [("Artist", 1, 2)]),  # slots change on the way back
+        utt("u2", "Resume", "resume"),  # back as "forward"
+        utt("u3", "Forward", "forward"),  # no translation
+        utt("u4", "Resume", "play music"),  # mislabeled: gold labels remove it
+        utt("u5", "Play", "play abba", [("Artist", 1, 2)]),
+    ]
+    FORWARD = MappingTranslator({"play queen": "spiel queen", "resume": "weiter",
+                                 "play music": "spiel musik", "play abba": "spiel abba"})
+    BACKWARD = MappingTranslator({"spiel queen": "play music", "weiter": "forward",
+                                  "spiel musik": "play music", "spiel abba": "play abba"})
+
+    @pytest.mark.parametrize("use_gold_labels", [False, True])
+    @pytest.mark.parametrize("mode", [MODE_INTENT, MODE_INTENT_CONFIDENCE])
+    def test_intent_modes_need_no_tagger(self, nlu, mode, use_gold_labels):
+        crf, maxent = nlu
+        config = FilterConfig(mode=mode, use_gold_labels=use_gold_labels)
+        with_tagger = roundtrip_filter(self.CORPUS, self.FORWARD, self.BACKWARD,
+                                       (crf, maxent), config)
+        assert with_tagger.kept and len(with_tagger.removed) >= 2
+        assert roundtrip_filter(self.CORPUS, self.FORWARD, self.BACKWARD,
+                                (None, maxent), config) == with_tagger
+
+    @pytest.mark.parametrize("use_gold_labels", [False, True])
+    def test_slot_mode_without_tagger_is_an_error(self, nlu, use_gold_labels):
+        config = FilterConfig(mode=MODE_INTENT_SLOTS, use_gold_labels=use_gold_labels)
+        with pytest.raises(ValueError, match="INTENT_SLOTS filter mode needs a source slot"):
+            roundtrip_filter(self.CORPUS, self.FORWARD, self.BACKWARD, (None, nlu[1]), config)
+        # before any utterance is looked at
+        with pytest.raises(ValueError, match="INTENT_SLOTS"):
+            roundtrip_filter([], self.FORWARD, self.BACKWARD, (None, nlu[1]), config)
+
+
 def scored_corpus():
     corpus = [utt("u%d" % i, "I", "w", domain="Music") for i in (1, 2, 3, 4)]
     translations = {

@@ -8,11 +8,11 @@ import typing
 import pytest
 
 import toytask
-from mtnlu.corpus import load_corpus
+from mtnlu.corpus import load_catalogs, load_corpus
 from mtnlu import pipeline
 from mtnlu.errors import ConfigError
-from mtnlu.filtering import FilterConfig
-from mtnlu.nlu import TrainingConfig
+from mtnlu.filtering import FilterConfig, roundtrip_filter
+from mtnlu.nlu import TrainingConfig, train_slot_tagger
 from mtnlu.postprocess import PostprocessConfig
 from mtnlu.pipeline import (
     STAGES,
@@ -29,6 +29,13 @@ from mtnlu.translate import load_translations
 
 def run_config(path, **overrides):
     return run_pipeline(load_pipeline_config(path, **overrides))
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestConfigLoading:
@@ -80,6 +87,13 @@ class TestConfigLoading:
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             load_pipeline_config(str(p))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"out_dir": "out", "stages": ["evaluate"],
+                                 "test_corpus": "c.json"}), encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf{")
+        assert load_pipeline_config(str(p)).test_corpus == str(p)
 
     def test_out_dir_required(self, tmp_path):
         p = tmp_path / "c.json"
@@ -601,9 +615,44 @@ class TestFullRun:
         config_path = toytask.build_workspace(tmp_path, n_train=80, n_test=25)
         run_config(config_path, out_dir=str(tmp_path / "a"))
         run_config(config_path, out_dir=str(tmp_path / "b"))
-        files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
-        files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
-        assert files_a == files_b
-        for name in files_a:
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes(), name
+        assert_same_files(tmp_path / "a", tmp_path / "b")
+
+    def test_byte_order_marks_change_no_output(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        run_config(config_path, out_dir=str(tmp_path / "plain"))
+        inputs = sorted(tmp_path.glob("*.tsv")) + [tmp_path / "config.json"]
+        for path in inputs:  # corpora, catalogs, grammars, phrase tables, config
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        run_config(config_path, out_dir=str(tmp_path / "marked"))
+        assert_same_files(tmp_path / "plain", tmp_path / "marked")
+
+
+class TestSourceSlotTagger:
+    """filter-semantic trains a source slot tagger only for the filter mode
+    that compares slots; the outputs are those of a run that always trains it."""
+
+    @pytest.mark.parametrize("mode, trainings", [
+        ("INTENT", 1), ("INTENT_CONFIDENCE", 1), ("INTENT_SLOTS", 2),
+    ])
+    def test_trained_only_when_the_filter_reads_slots(self, tmp_path, monkeypatch,
+                                                      mode, trainings):
+        config_path = toytask.build_workspace(
+            tmp_path, n_train=50, n_test=15, config_update={"filter": {"mode": mode}})
+        calls = []
+        monkeypatch.setattr(pipeline, "train_slot_tagger",
+                            lambda *args: calls.append(args) or train_slot_tagger(*args))
+        run_config(config_path, out_dir=str(tmp_path / "lean"))
+        assert len(calls) == trainings
+
+        config = load_pipeline_config(config_path)
+        source_tagger = train_slot_tagger(
+            load_corpus(config.source_corpus, config.source_language),
+            config.training, load_catalogs(config.source_catalogs))
+
+        def always_with_tagger(corpus, forward, backward, source_nlu, *args, **kwargs):
+            return roundtrip_filter(corpus, forward, backward,
+                                    (source_tagger, source_nlu[1]), *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "roundtrip_filter", always_with_tagger)
+        run_config(config_path, out_dir=str(tmp_path / "tagged"))
+        assert_same_files(tmp_path / "lean", tmp_path / "tagged")
