@@ -33,40 +33,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="pipeline config (JSON)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--out", default=None, help="override the output directory")
+# the stages `filter --kind` runs
+_FILTER_KINDS = {"semantic": "filter-semantic", "score": "filter-score",
+                 "both": "filter-semantic,filter-score"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mtnlu", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_like = [
-        ("translate", ["translate"], "translate the source corpus"),
-        ("project", ["project"], "project annotations onto translations"),
-        ("postprocess", ["postprocess"], "resample/retain slot values"),
-        ("train", ["train"], "train the slot tagger and intent classifier"),
-        ("evaluate", ["evaluate"], "score trained models on the test corpus"),
-    ]
-    for name, stages, help_text in run_like:
+    # (subcommand, the comma-separated stages it runs, help); `filter` and
+    # `pipeline` take their stages from --kind and --stages
+    for name, stages, help_text in [
+        ("translate", "translate", "translate the source corpus"),
+        ("project", "project", "project annotations onto translations"),
+        ("postprocess", "postprocess", "resample/retain slot values"),
+        ("train", "train", "train the slot tagger and intent classifier"),
+        ("evaluate", "evaluate", "score trained models on the test corpus"),
+        ("filter", None, "filter translated data"),
+        ("pipeline", None, "run several stages in order"),
+    ]:
         p = sub.add_parser(name, help=help_text)
-        _add_run_options(p)
+        p.add_argument("--config", required=True, help="pipeline config (JSON)")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out", default=None, help="override the output directory")
         p.set_defaults(func=_cmd_run, stages=stages)
-
-    p = sub.add_parser("filter", help="filter translated data")
-    _add_run_options(p)
-    p.add_argument("--kind", choices=["semantic", "score", "both"], default="both",
-                   help="which filter to apply (default: both)")
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("pipeline", help="run several stages in order")
-    _add_run_options(p)
-    p.add_argument("--stages", default=None,
-                   help="comma-separated subsequence of: %s" % ",".join(STAGES))
-    p.set_defaults(func=_cmd_pipeline)
+    sub.choices["filter"].add_argument("--kind", choices=list(_FILTER_KINDS), default="both",
+                                       help="which filter to apply (default: both)")
+    sub.choices["pipeline"].add_argument(
+        "--stages", help="comma-separated subsequence of: %s" % ",".join(STAGES))
 
     p = sub.add_parser("compare", help="relative change between two evaluation reports")
     p.add_argument("baseline", help="baseline report file")
@@ -88,7 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_result(result) -> None:
+def _cmd_run(args) -> int:
+    stages = _FILTER_KINDS[args.kind] if args.command == "filter" else args.stages
+    if stages is not None:  # `pipeline` without --stages runs those of the config
+        stages = [s.strip() for s in stages.split(",") if s.strip()]
+    config = load_pipeline_config(args.config, seed=args.seed, stages=stages, out_dir=args.out)
+    result = run_pipeline(config)
     for r in result.stage_reports:
         print("%s: %d -> %d removed[%s] %.2fs"
               % (r.stage, r.input_count, r.output_count, format_removed(r.removed),
@@ -101,34 +101,7 @@ def _print_result(result) -> None:
         for domain in sorted(report.per_domain):
             counts = report.per_domain[domain]
             print("semer %s: %.4f" % (domain, counts.semer))
-
-
-def _run(args, stages) -> int:
-    config = load_pipeline_config(
-        args.config, seed=args.seed, stages=stages, out_dir=args.out
-    )
-    _print_result(run_pipeline(config))
     return 0
-
-
-def _cmd_run(args) -> int:
-    return _run(args, args.stages)
-
-
-def _cmd_filter(args) -> int:
-    stages = {
-        "semantic": ["filter-semantic"],
-        "score": ["filter-score"],
-        "both": ["filter-semantic", "filter-score"],
-    }[args.kind]
-    return _run(args, stages)
-
-
-def _cmd_pipeline(args) -> int:
-    stages = None
-    if args.stages is not None:
-        stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-    return _run(args, stages)
 
 
 def _cmd_compare(args) -> int:

@@ -254,11 +254,15 @@ def read_records(path, parse: Callable, widths: tuple[int, ...], sep: str = "\t"
 
 
 def number(text: str, what: str, kind: Callable = float):
-    """`kind(text)`; text it cannot read is a ValueError ``bad <what> '<text>'``."""
+    """`kind(text)`; text it cannot read, or a float that is not finite, is a
+    ValueError ``bad <what> '<text>'``."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError("bad %s %r" % (what, text)) from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError("bad %s %r: not a finite number" % (what, text))
+    return value
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, NewType, Sequence, get_args, get_origin, g
 from .corpus import (
     Catalog,
     Utterance,
+    checked,
     load_catalogs,
     load_corpus,
     read_json,
@@ -60,6 +61,7 @@ from .translate import (
     ProjectionRejected,
     TranslationResult,
     Translator,
+    check_alignment,
     load_phrase_table,
     load_translations,
     project_annotations,
@@ -76,11 +78,29 @@ STAGES = (
     "evaluate",
 )
 
-# stages that consume forward translations
-_NEEDS_TRANSLATIONS = ("project", "filter-semantic", "filter-score")
-# stages that consume the annotated source corpus
-_NEEDS_SOURCE = ("translate", "project", "filter-semantic", "filter-score",
-                 "postprocess", "train")
+# what each stage reads, and what a stage makes for the stages after it in
+# the same run; a run reads the rest from files (see `_file_inputs`)
+_READS = {
+    "translate": {"source", "forward"},
+    "project": {"source", "translations"},
+    "filter-semantic": {"source", "source_catalogs", "backward", "translations"},
+    "filter-score": {"source", "translations"},
+    "postprocess": {"source", "catalogs"},
+    "train": {"source", "catalogs"},
+    "evaluate": {"test", "models"},
+}
+_MAKES = {"translate": "translations", "train": "models"}
+
+
+def _file_inputs(stages: Sequence[str]) -> dict[str, list[str]]:
+    """Each input that a run of `stages` reads from files, with the stages
+    that read it: what they read less what an earlier stage makes."""
+    inputs, made = {}, set()
+    for stage in stages:
+        for what in _READS[stage] - made:
+            inputs.setdefault(what, []).append(stage)
+        made.add(_MAKES.get(stage))
+    return inputs
 
 
 class StageFailure(MtnluError):
@@ -153,25 +173,19 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _validate_stages(self.stages)
-        t = self.translation
-        if "translate" in self.stages and t.forward_translations is None \
-                and t.forward_phrase_table is None:
-            raise ConfigError("the translate stage needs a forward translations file or phrase table")
-        needs_translations = set(self.stages) & set(_NEEDS_TRANSLATIONS)
-        if needs_translations and "translate" not in self.stages \
-                and t.forward_translations is None:
-            raise ConfigError(
-                "stages %s need translations: run the translate stage or configure "
-                "a forward translations file" % sorted(needs_translations)
-            )
-        if "filter-semantic" in self.stages and t.backward_translations is None \
-                and t.backward_phrase_table is None:
-            raise ConfigError("the filter-semantic stage needs a backward translations file or phrase table")
-        if set(self.stages) & set(_NEEDS_SOURCE) and self.source_corpus is None:
-            raise ConfigError("source_corpus is required for stages %s"
-                              % sorted(set(self.stages) & set(_NEEDS_SOURCE)))
-        if "evaluate" in self.stages and self.test_corpus is None:
-            raise ConfigError("the evaluate stage needs a test_corpus")
+        inputs, t = _file_inputs(self.stages), self.translation
+        for what, given, needed in (
+            ("forward", t.forward_translations or t.forward_phrase_table,
+             "a forward translations file or phrase table"),
+            ("translations", t.forward_translations,
+             "translations: run the translate stage or configure a forward translations file"),
+            ("backward", t.backward_translations or t.backward_phrase_table,
+             "a backward translations file or phrase table"),
+            ("source", self.source_corpus, "a source_corpus"),
+            ("test", self.test_corpus, "a test_corpus"),
+        ):
+            if what in inputs and given is None:
+                raise ConfigError("stages %s need %s" % (sorted(inputs[what]), needed))
 
     def effective(self) -> dict:
         """Everything that can change results, as plain JSON data.
@@ -191,17 +205,11 @@ class PipelineConfig:
 def _validate_stages(stages: Sequence[str]) -> None:
     if not stages:
         raise ConfigError("stage list is empty")
-    position = iter(STAGES)
     for stage in stages:
         if stage not in STAGES:
             raise ConfigError("unknown stage %r (choose from %s)" % (stage, ", ".join(STAGES)))
-        for canonical in position:
-            if canonical == stage:
-                break
-        else:
-            raise ConfigError(
-                "stages must be an in-order subsequence of: %s" % ", ".join(STAGES)
-            )
+    if list(stages) != sorted(set(stages), key=STAGES.index):
+        raise ConfigError("stages must be an in-order subsequence of: %s" % ", ".join(STAGES))
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -366,14 +374,16 @@ class PipelineResult:
 
 @dataclass
 class _State:
-    source: list[Utterance]
-    working: list[Utterance]
-    translations: dict[str, TranslationResult]
-    test: list[Utterance]
-    catalogs: dict[str, Catalog]
-    source_catalogs: dict[str, Catalog]
-    forward: Translator | None
-    backward: Translator | None
+    """What the stages read (see `_READS`), pass on and make."""
+
+    source: list[Utterance] = field(default_factory=list)
+    working: list[Utterance] = field(default_factory=list)
+    translations: dict[str, TranslationResult] = field(default_factory=dict)
+    test: list[Utterance] = field(default_factory=list)
+    catalogs: dict[str, Catalog] = field(default_factory=dict)
+    source_catalogs: dict[str, Catalog] = field(default_factory=dict)
+    forward: Translator | None = None
+    backward: Translator | None = None
     crf: CrfModel | None = None
     maxent: MaxEntModel | None = None
     semer_report: SemerReport | None = None
@@ -434,11 +444,11 @@ def _write_stage_reports(
 # --- translator construction --------------------------------------------------
 
 
-def _build_translator(
-    t: TranslationConfig, translations: str | None, phrase_table: str | None
-) -> Translator:
-    if translations is not None:
-        return FileTranslator(load_translations(translations))
+def _build_translator(t: TranslationConfig, phrase_table: str | None,
+                      translations: Callable[[], dict]) -> Translator:
+    """A decoder on `phrase_table`, or else the translations `translations()` loads."""
+    if phrase_table is None:
+        return FileTranslator(translations())
     model = PhraseTableModel.from_pairs(
         load_phrase_table(phrase_table),
         lm_alpha=t.lm_alpha,
@@ -569,45 +579,36 @@ _HANDLERS: dict[str, Callable[[PipelineConfig, _State, Path], list]] = {
 
 
 def _setup(config: PipelineConfig) -> _State:
-    """Load the inputs and saved models, and build the translators, that the stages use."""
-    stages, t = set(config.stages), config.translation
-    source: list[Utterance] = []
-    if stages & set(_NEEDS_SOURCE):
-        source = _load_nonempty_corpus(config.source_corpus, config.source_language)
-    test: list[Utterance] = []
-    crf = maxent = None
-    if "evaluate" in stages:
-        test = _load_nonempty_corpus(config.test_corpus, config.target_language)
-        if "train" not in stages:
-            crf, maxent = _load_models(Path(config.out_dir))
-    catalogs: dict[str, Catalog] = {}
-    if stages & {"postprocess", "train"}:
-        catalogs = load_catalogs(config.catalogs)
-    if "postprocess" in stages:
-        check_resample_catalogs(config.postprocess.resample_slots, catalogs)
-    source_catalogs: dict[str, Catalog] = {}
-    if "filter-semantic" in stages:
-        source_catalogs = load_catalogs(config.source_catalogs)
-    forward = backward = None
-    if "translate" in stages:
-        forward = _build_translator(t, t.forward_translations, t.forward_phrase_table)
-    if "filter-semantic" in stages:
-        backward = _build_translator(t, t.backward_translations, t.backward_phrase_table)
-    translations: dict[str, TranslationResult] = {}
-    if "translate" not in stages and stages & set(_NEEDS_TRANSLATIONS):
+    """Load the inputs and saved models, and build the translators, that the
+    stages read from files (see `_file_inputs`), always in the order below."""
+    t, loaded = config.translation, {}
+
+    def forward_translations():
         translations = load_translations(t.forward_translations)
-    return _State(
-        source=source,
-        working=list(source),
-        translations=translations,
-        test=test,
-        catalogs=catalogs,
-        source_catalogs=source_catalogs,
-        forward=forward,
-        backward=backward,
-        crf=crf,
-        maxent=maxent,
-    )
+        for u in loaded["source"]:
+            if u.id in translations:
+                checked(t.forward_translations, None, check_alignment, u, translations[u.id])
+        return translations
+
+    loaders = {
+        "source": lambda: _load_nonempty_corpus(config.source_corpus, config.source_language),
+        "test": lambda: _load_nonempty_corpus(config.test_corpus, config.target_language),
+        "models": lambda: _load_models(Path(config.out_dir)),
+        "catalogs": lambda: load_catalogs(config.catalogs),
+        "source_catalogs": lambda: load_catalogs(config.source_catalogs),
+        "forward": lambda: _build_translator(t, t.forward_phrase_table, forward_translations),
+        "backward": lambda: _build_translator(
+            t, t.backward_phrase_table, lambda: load_translations(t.backward_translations)),
+        "translations": forward_translations,
+    }
+    inputs = _file_inputs(config.stages)
+    for what, load in loaders.items():
+        if what in inputs:
+            loaded[what] = load()
+        if what == "catalogs" and "postprocess" in config.stages:
+            check_resample_catalogs(config.postprocess.resample_slots, loaded[what])
+    crf, maxent = loaded.pop("models", (None, None))
+    return _State(working=list(loaded.get("source", [])), crf=crf, maxent=maxent, **loaded)
 
 
 def _load_nonempty_corpus(path: str, language: str) -> list[Utterance]:
@@ -629,18 +630,17 @@ def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute the configured stages; see the module docstring.
 
-    Input problems raise ConfigError/FormatError before any stage runs; an
-    error inside a stage raises StageFailure after writing the reports
-    collected so far.
+    Input problems raise ConfigError/FormatError before any stage runs and
+    before anything is written; an error inside a stage raises StageFailure
+    after writing the reports collected so far.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     earlier_reports = _read_stage_reports(out / "stage_reports.tsv")
+    state = _setup(config)
     fingerprint = config.fingerprint()
+    out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "effective_config.json",
                 [json.dumps(config.effective(), sort_keys=True, indent=2)])
-
-    state = _setup(config)
     reports: list[StageReport] = []
     failed: tuple[str, BaseException] | None = None
     for stage in config.stages:

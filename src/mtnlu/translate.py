@@ -61,8 +61,8 @@ class TranslationResult:
     """Target tokens plus source-to-target word alignment and scores.
 
     Alignment pairs are (source index, target index).  Target indices are
-    validated here; source indices are validated against the source utterance
-    when annotations are projected.
+    validated here; source indices against the source utterance by
+    `check_alignment`.
     """
 
     source_id: str
@@ -334,6 +334,13 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
 # --- projection -------------------------------------------------------------
 
 
+def check_alignment(source: Utterance, result: TranslationResult) -> None:
+    """ValueError unless every alignment pair of `result` points into `source`."""
+    for s, _ in result.alignment:
+        if s >= len(source.tokens):
+            raise ValueError("alignment source index %d out of range for %s" % (s, source.id))
+
+
 def project_annotations(
     source: Utterance, result: TranslationResult, target_language: str = ""
 ) -> Utterance:
@@ -348,11 +355,7 @@ def project_annotations(
         raise ValueError(
             "source id %r does not match translation %r" % (source.id, result.source_id)
         )
-    for s, _ in result.alignment:
-        if s >= len(source.tokens):
-            raise ValueError(
-                "alignment source index %d out of range for %s" % (s, source.id)
-            )
+    check_alignment(source, result)
     projected = []
     for slot in source.slots:
         hit = [t for s, t in result.alignment if slot.start <= s < slot.end]

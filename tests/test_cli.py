@@ -11,7 +11,9 @@ import pytest
 
 import mtnlu
 import toytask
+from mtnlu import cli
 from mtnlu.cli import main
+from mtnlu.errors import MtnluError
 from mtnlu.semer import SemerCounts, SemerReport, write_semer_report
 
 
@@ -204,6 +206,75 @@ def test_stage_report_not_utf8_exits_one_before_any_stage(tmp_path, capsys, trai
     assert err == "error: %s:%d: byte 0xff is not UTF-8 (invalid start byte)\n" % (
         report, lines + 1)
     assert {name: (out / name).read_bytes() for name in evaluation} == evaluation
+
+
+def test_bad_input_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
+    assert main(["pipeline", "--config", config, "--stages", "translate,train"]) == 0
+    test = tmp_path / "test.tsv"
+    test.write_bytes(test.read_bytes() + b"\xff")
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:" % test) and err.count("\n") == 1, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate"],
+    ["project"],
+    ["filter", "--kind", "semantic"],
+    ["pipeline", "--stages", "translate,project"],
+], ids=lambda argv: " ".join(argv))
+def test_alignment_past_the_source_exits_one_before_any_stage(tmp_path, capsys, argv):
+    config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
+    assert main(["translate", "--config", config]) == 0
+    lines = (tmp_path / "out" / "translations.tsv").read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[2] = "0-0 99-0"  # the source utterance has fewer than 100 tokens
+    lines[1] = "\t".join(fields)
+    translations = tmp_path / "translations.tsv"
+    translations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    obj = json.loads((tmp_path / "config.json").read_text())
+    obj["translation"] = {
+        "forward_translations": str(translations),
+        "backward_phrase_table": obj["translation"]["backward_phrase_table"],
+        "max_jump": 0,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv + ["--config", config, "--out", str(tmp_path / "fout")]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: alignment source index 99 out of range for %s\n" % (translations, fields[0]))
+    assert not (tmp_path / "fout").exists()
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["translate"], ["translate"]),
+    (["project"], ["project"]),
+    (["filter"], ["filter-semantic", "filter-score"]),
+    (["filter", "--kind", "semantic"], ["filter-semantic"]),
+    (["filter", "--kind", "score"], ["filter-score"]),
+    (["filter", "--kind", "both"], ["filter-semantic", "filter-score"]),
+    (["postprocess"], ["postprocess"]),
+    (["train"], ["train"]),
+    (["evaluate"], ["evaluate"]),
+    (["pipeline"], None),
+    (["pipeline", "--stages", "train, evaluate,"], ["train", "evaluate"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_run_commands_pass_their_stages(monkeypatch, capsys, argv, stages):
+    calls = []
+
+    def load(path, seed=None, stages=None, out_dir=None):
+        calls.append((path, seed, stages, out_dir))
+        raise MtnluError("stop")
+
+    monkeypatch.setattr(cli, "load_pipeline_config", load)
+    assert main(argv + ["--config", "c.json", "--seed", "3", "--out", "o"]) == 1
+    assert calls == [("c.json", 3, stages, "o")]
+    assert capsys.readouterr().err == "error: stop\n"
 
 
 class TestRunCommands:

@@ -247,6 +247,28 @@ def test_wrong_field_count_names_file_and_line(tmp_path, loader, first, line):
     assert err.value.message.endswith("%s-separated fields, got %d" % (kind, width + 1))
 
 
+# (loader, first line, a valid data line, a line with a number that is not
+# finite, the message for it)
+NON_FINITE = [
+    (load_grammar, "# grammar", "I\tD\t1\tplay {T}", "I\tD\tinf\tplay {T}",
+     "bad weight 'inf': not a finite number"),
+    (load_phrase_table, "# phrases", "a b ||| c ||| -1", "a b ||| c ||| nan",
+     "bad score 'nan': not a finite number"),
+    (load_translations, "# translations", "u1\tc\t0-0\t0\t0\t0\t0\t0",
+     "u2\tc\t0-0\t0\t0\t0\t-Infinity\tnan", "bad score field '-Infinity': not a finite number"),
+]
+
+
+@pytest.mark.parametrize("loader, first, line, bad, message", NON_FINITE,
+                         ids=[f[0].__name__ for f in NON_FINITE])
+def test_non_finite_number_names_file_and_line(tmp_path, loader, first, line, bad, message):
+    path = tmp_path / "data.txt"
+    path.write_text("%s\n%s\n%s\n" % (first, line, bad), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert (err.value.path, err.value.line_no, err.value.message) == (path, 3, message)
+
+
 class TestCatalog:
     def test_byte_order_mark_before_the_header(self, tmp_path):
         path = tmp_path / "city.txt"

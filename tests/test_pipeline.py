@@ -24,7 +24,7 @@ from mtnlu.pipeline import (
     stage_seed,
 )
 from mtnlu.semer import read_semer_report
-from mtnlu.translate import load_translations
+from mtnlu.translate import load_translations, save_translations
 
 
 def run_config(path, **overrides):
@@ -582,6 +582,50 @@ class TestFullRun:
         p.write_text(json.dumps(config), encoding="utf-8")
         run_config(str(p), stages=["project"])
         assert calls == [str(tmp_path / "out" / "translations.tsv")]
+
+    # the stages, and the inputs a run of them reads in order: the source (S)
+    # and test (T) corpus, the saved models (M), the target (C) and source (SC)
+    # catalogs, the forward translations (F) and the backward phrase table (B)
+    @pytest.mark.parametrize("stages, reads", [
+        (["translate"], "S F"),
+        (["project"], "S F"),
+        (["filter-semantic"], "S SC B F"),
+        (["filter-score"], "S F"),
+        (["postprocess"], "S C"),
+        (["train"], "S C"),
+        (["evaluate"], "T M"),
+        (list(STAGES), "S T C SC F B"),
+        (["train", "evaluate"], "S T C"),
+        (["translate", "project"], "S F"),
+    ], ids=lambda v: ",".join(v) if isinstance(v, list) else v)
+    def test_setup_reads_what_the_stages_read(self, tmp_path, monkeypatch, stages, reads):
+        config_path = toytask.build_workspace(tmp_path, n_train=20, n_test=5)
+        corpus = load_corpus(tmp_path / "train.tsv")
+        save_translations(toytask.forward_results(corpus)[0], tmp_path / "forward.tsv")
+        obj = json.loads(open(config_path).read())
+        obj["translation"] = {"forward_translations": "forward.tsv",
+                              "backward_phrase_table": "phrases_backward.tsv"}
+        obj["stages"] = stages
+        (tmp_path / "config.json").write_text(json.dumps(obj), encoding="utf-8")
+        config = load_pipeline_config(config_path)
+        names = {
+            str(tmp_path / "train.tsv"): "S", str(tmp_path / "test.tsv"): "T",
+            str(tmp_path / "out"): "M", config.catalogs: "C", config.source_catalogs: "SC",
+            str(tmp_path / "forward.tsv"): "F", str(tmp_path / "phrases_backward.tsv"): "B",
+        }
+        calls = []
+
+        def record(function):
+            def read(what, *args):
+                calls.append(names[what if isinstance(what, tuple) else str(what)])
+                return function(what, *args)
+            return read
+
+        for name in ("load_corpus", "load_catalogs", "load_translations", "load_phrase_table"):
+            monkeypatch.setattr(pipeline, name, record(getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, "_load_models", record(lambda out: (None, None)))
+        pipeline._setup(config)
+        assert " ".join(calls) == reads
 
     def test_score_filter_threshold_drops_utterances(self, tmp_path):
         config_path = toytask.build_workspace(tmp_path, config_update={
