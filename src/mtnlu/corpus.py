@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import random
@@ -358,6 +359,17 @@ class Catalog:
             groups.setdefault(len(e.tokens), set()).add(e.tokens)
         return {m: frozenset(g) for m, g in groups.items()}
 
+    @functools.cached_property
+    def cum_weights(self) -> list[float]:
+        """Running sums of the entry weights, built on first use."""
+        return list(itertools.accumulate(e.weight for e in self.entries))
+
+    def draw(self, rng: random.Random) -> CatalogEntry:
+        """One entry, drawn with probability proportional to its weight by a
+        bisection of `cum_weights`; the same draw as
+        ``rng.choices(entries, weights=[e.weight for e in entries])[0]``."""
+        return rng.choices(self.entries, cum_weights=self.cum_weights)[0]
+
 
 def _lowercased(entry: CatalogEntry) -> CatalogEntry:
     tokens = tuple(t.lower() for t in entry.tokens)
@@ -466,11 +478,8 @@ def sample_grammar(
         for tok in template.pattern:
             if _is_placeholder(tok):
                 catalog = catalogs[tok[1:-1]]
-                entry = rng.choices(
-                    catalog.entries, [e.weight for e in catalog.entries]
-                )[0]
                 start = len(tokens)
-                tokens.extend(entry.tokens)
+                tokens.extend(catalog.draw(rng).tokens)
                 slots.append(make_span(tokens, catalog.slot_type, start, len(tokens)))
             else:
                 tokens.append(tok)

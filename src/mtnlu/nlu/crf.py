@@ -332,12 +332,13 @@ def train_slot_tagger(
     corpus: Sequence[Utterance],
     hyper: TrainingConfig = TrainingConfig(),
     gazetteers: Gazetteers | None = None,
+    name: str = "CRF slot tagger",
 ) -> CrfModel:
     """Fit CRF weights on an annotated corpus.
 
     Deterministic: the label set is sorted, the feature index is built in
     first-seen corpus order, and the optimizer takes the same path for the
-    same inputs.
+    same inputs.  Stopping at the iteration cap logs a warning naming `name`.
     """
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
@@ -361,7 +362,7 @@ def train_slot_tagger(
         return value, np.concatenate([g_em.ravel(), g_tr.ravel()])
 
     result = minimize(fun_grad, np.zeros(F * L + L * L), hyper.max_iterations,
-                      hyper.tolerance, name="CRF slot tagger")
+                      hyper.tolerance, name=name)
     return CrfModel(
         labels=labels,
         feature_index=feature_index,

@@ -102,8 +102,10 @@ def train_intent_classifier(
     corpus: Sequence[Utterance],
     hyper: TrainingConfig = TrainingConfig(),
     gazetteers: Gazetteers | None = None,
+    name: str = "MaxEnt intent classifier",
 ) -> MaxEntModel:
-    """Fit classifier weights; deterministic for identical inputs."""
+    """Fit classifier weights; deterministic for identical inputs.  Stopping at
+    the iteration cap logs a warning naming `name`."""
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
     gazetteers = dict(gazetteers or {})
@@ -120,8 +122,7 @@ def train_intent_classifier(
         value, grad = _nll_and_grad(X, y_arr, x.reshape(F, K), hyper.l2)
         return value, grad.ravel()
 
-    result = minimize(fun_grad, np.zeros(F * K), hyper.max_iterations, hyper.tolerance,
-                      name="MaxEnt intent classifier")
+    result = minimize(fun_grad, np.zeros(F * K), hyper.max_iterations, hyper.tolerance, name)
     return MaxEntModel(
         intents=intents,
         feature_index=feature_index,

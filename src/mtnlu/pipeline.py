@@ -499,8 +499,10 @@ def _stage_project(config: PipelineConfig, state: _State, out: Path):
 def _stage_filter_semantic(config: PipelineConfig, state: _State, out: Path):
     crf = None  # only the INTENT_SLOTS mode reads source slots
     if config.filter.mode == MODE_INTENT_SLOTS:
-        crf = train_slot_tagger(state.source, config.training, state.source_catalogs)
-    maxent = train_intent_classifier(state.source, config.training, state.source_catalogs)
+        crf = train_slot_tagger(state.source, config.training, state.source_catalogs,
+                                "CRF slot tagger (stage filter-semantic)")
+    maxent = train_intent_classifier(state.source, config.training, state.source_catalogs,
+                                     "MaxEnt intent classifier (stage filter-semantic)")
     working_ids = {u.id for u in state.working}
     survivors = [u for u in state.source if u.id in working_ids]
     outcome = roundtrip_filter(
@@ -544,8 +546,10 @@ def _stage_postprocess(config: PipelineConfig, state: _State, out: Path):
 
 
 def _stage_train(config: PipelineConfig, state: _State, out: Path):
-    state.crf = train_slot_tagger(state.working, config.training, state.catalogs)
-    state.maxent = train_intent_classifier(state.working, config.training, state.catalogs)
+    state.crf = train_slot_tagger(state.working, config.training, state.catalogs,
+                                  "CRF slot tagger (stage train)")
+    state.maxent = train_intent_classifier(state.working, config.training, state.catalogs,
+                                           "MaxEnt intent classifier (stage train)")
     state.crf.save(out / "crf_model.json")
     state.maxent.save(out / "intent_model.json")
     return []

@@ -9,8 +9,9 @@ Two complementary transforms and their combination:
   (song titles, artist names and similar should survive translation
   verbatim).
 
-Both transforms rebuild the token sequence and re-index every slot span, so
-outputs always satisfy the corpus invariants.  Randomness is drawn from
+One pass per utterance decides each slot's value once (see
+`combined_postprocess`) and rebuilds the token sequence and every slot span,
+so outputs always satisfy the corpus invariants.  Randomness is drawn from
 per-utterance streams derived from ``(seed, purpose, utterance id)``; the
 processing order of utterances therefore cannot change any output.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import Catalog, Utterance, make_span
 from .errors import ConfigError
@@ -63,26 +64,22 @@ def replace_slot_values(
     if not replacements:
         return utterance
     tokens: list[str] = []
-    spans: list[tuple[str, int, int]] = []
+    slots = []
     cursor = 0
-    offset = 0
     for idx, span in enumerate(utterance.slots):
         tokens.extend(utterance.tokens[cursor : span.start])
-        value = replacements.get(idx, utterance.tokens[span.start : span.end])
-        start = span.start + offset
-        tokens.extend(value)
-        spans.append((span.slot_type, start, start + len(value)))
-        offset += len(value) - (span.end - span.start)
+        start = len(tokens)
+        tokens.extend(replacements.get(idx, utterance.tokens[span.start : span.end]))
+        slots.append(make_span(tokens, span.slot_type, start, len(tokens)))
         cursor = span.end
     tokens.extend(utterance.tokens[cursor:])
-    final = tuple(tokens)
     return Utterance(
         utterance.id,
         utterance.language,
         utterance.domain,
         utterance.intent,
-        final,
-        tuple(make_span(final, t, a, b) for t, a, b in spans),
+        tuple(tokens),
+        tuple(slots),
         source_id=utterance.source_id,
     )
 
@@ -98,43 +95,14 @@ def check_resample_catalogs(types: frozenset[str], catalogs: dict[str, Catalog])
         raise ConfigError("no catalog for resampled slot types: %s" % ", ".join(missing))
 
 
-def _resample_pass(
-    corpus: list[Utterance],
-    catalogs: dict[str, Catalog],
-    config: PostprocessConfig,
-    mixed: bool,
-) -> list[Utterance]:
-    check_resample_catalogs(config.resample_slots, catalogs)
-    if not config.resample_slots:
-        return list(corpus)
-    # slot types treated by both transforms flip a separate coin per instance
-    overlap = config.resample_slots & config.retain_original_slots if mixed else frozenset()
-    out = []
-    for u in corpus:
-        rng_value = _stream(config.seed, "resample", u.id)
-        rng_mix = _stream(config.seed, "mix", u.id)
-        replacements: dict[int, tuple[str, ...]] = {}
-        for idx, span in enumerate(u.slots):
-            if span.slot_type not in config.resample_slots:
-                continue
-            if span.slot_type in overlap and not rng_mix.random() < config.mix_probability:
-                continue
-            catalog = catalogs[span.slot_type]
-            entry = rng_value.choices(
-                catalog.entries, weights=[e.weight for e in catalog.entries]
-            )[0]
-            replacements[idx] = entry.tokens
-        out.append(replace_slot_values(u, replacements))
-    return out
-
-
 def resample_slots(
     corpus: list[Utterance],
     catalogs: dict[str, Catalog],
     config: PostprocessConfig,
 ) -> list[Utterance]:
     """Redraw configured slot values from weighted catalogs."""
-    return _resample_pass(corpus, catalogs, config, mixed=False)
+    return combined_postprocess(
+        corpus, [], catalogs, replace(config, retain_original_slots=frozenset()))
 
 
 def retain_original_slots(
@@ -150,46 +118,27 @@ def retain_original_slots(
     disagree on the number of slots of a configured type pass through
     unchanged; ``stats`` (if given) counts them under MULTIPLICITY_MISMATCH.
     """
-    if not config.retain_original_slots:
-        return list(translated_corpus)
-    sources = {u.id: u for u in source_corpus}
-    out = []
-    for u in translated_corpus:
-        source = sources.get(u.source_id) if u.source_id is not None else None
-        if source is None:
-            raise ConfigError(
-                "utterance %s: source_id %r not in source corpus" % (u.id, u.source_id)
-            )
-        out.append(_retain_one(u, source, config, stats))
-    return out
+    return combined_postprocess(translated_corpus, source_corpus, {},
+                                replace(config, resample_slots=frozenset()), stats)
 
 
-def _retain_one(
-    u: Utterance,
-    source: Utterance,
-    config: PostprocessConfig,
-    stats: dict[str, int] | None,
-) -> Utterance:
-    values_by_type: dict[str, list[tuple[str, ...]]] = {}
-    for span in source.slots:
-        values_by_type.setdefault(span.slot_type, []).append(
-            source.tokens[span.start : span.end]
-        )
-    for slot_type in sorted(config.retain_original_slots):
-        n_source = len(values_by_type.get(slot_type, ()))
-        n_target = sum(1 for s in u.slots if s.slot_type == slot_type)
-        if n_source != n_target:
+def _retained(
+    u: Utterance, source: Utterance, types: frozenset[str], stats: dict[str, int] | None
+) -> dict[int, tuple[str, ...]]:
+    """Slot index -> source value for every slot of `u` whose type is in
+    `types`, paired k-th to k-th per type; empty, counted once as
+    MULTIPLICITY_MISMATCH, if some such type has another slot count in `source`."""
+    retained: dict[int, tuple[str, ...]] = {}
+    for slot_type in sorted(types):
+        indices = [i for i, s in enumerate(u.slots) if s.slot_type == slot_type]
+        values = [source.tokens[s.start : s.end] for s in source.slots
+                  if s.slot_type == slot_type]
+        if len(indices) != len(values):
             if stats is not None:
                 stats[MULTIPLICITY_MISMATCH] = stats.get(MULTIPLICITY_MISMATCH, 0) + 1
-            return u
-    seen: dict[str, int] = {}
-    replacements: dict[int, tuple[str, ...]] = {}
-    for idx, span in enumerate(u.slots):
-        if span.slot_type in config.retain_original_slots:
-            k = seen.get(span.slot_type, 0)
-            seen[span.slot_type] = k + 1
-            replacements[idx] = values_by_type[span.slot_type][k]
-    return replace_slot_values(u, replacements)
+            return {}
+        retained.update(zip(indices, values))
+    return retained
 
 
 def combined_postprocess(
@@ -199,11 +148,31 @@ def combined_postprocess(
     config: PostprocessConfig,
     stats: dict[str, int] | None = None,
 ) -> list[Utterance]:
-    """Retention first, then resampling.
+    """Decide each slot's value once, in slot order.
 
-    Slot types configured for both are resampled with probability
-    ``mix_probability`` per instance and keep the retained source value
-    otherwise.
+    A slot of a resampled type is redrawn from its catalog by the
+    utterance's "resample" stream; if its type is also retained, only when
+    the utterance's "mix" stream comes up below ``mix_probability``.  A slot
+    not redrawn takes the retained source value (see `retain_original_slots`)
+    when its type is retained, and keeps its value otherwise.
     """
-    retained = retain_original_slots(translated_corpus, source_corpus, config, stats)
-    return _resample_pass(retained, catalogs, config, mixed=True)
+    resample, retain = config.resample_slots, config.retain_original_slots
+    sources = {u.id: u for u in source_corpus}
+    for u in translated_corpus:
+        if retain and u.source_id not in sources:
+            raise ConfigError(
+                "utterance %s: source_id %r not in source corpus" % (u.id, u.source_id)
+            )
+    check_resample_catalogs(resample, catalogs)
+    out = []
+    for u in translated_corpus:
+        replacements = _retained(u, sources[u.source_id], retain, stats) if retain else {}
+        redraw = [(i, s.slot_type) for i, s in enumerate(u.slots) if s.slot_type in resample]
+        if redraw:  # seeding a stream costs more than a draw: only where one is read
+            rng_value = _stream(config.seed, "resample", u.id)
+            rng_mix = _stream(config.seed, "mix", u.id)
+        for idx, t in redraw:
+            if t not in retain or rng_mix.random() < config.mix_probability:
+                replacements[idx] = catalogs[t].draw(rng_value).tokens
+        out.append(replace_slot_values(u, replacements))
+    return out

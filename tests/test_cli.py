@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -13,8 +14,10 @@ import mtnlu
 import toytask
 from mtnlu import cli
 from mtnlu.cli import main
+from mtnlu.corpus import load_corpus
 from mtnlu.errors import MtnluError
 from mtnlu.semer import SemerCounts, SemerReport, write_semer_report
+from mtnlu.translate import load_translations, save_translations
 
 
 def write_report(path, errors, reference_count=10000):
@@ -295,6 +298,33 @@ class TestRunCommands:
         out = capsys.readouterr().out
         assert "translate" in out and "project" in out and "train" not in out
 
+    def test_translate_and_project_record_their_removals(self, tmp_path, capsys):
+        config = toytask.build_workspace(tmp_path, n_train=20, n_test=5)
+        corpus = load_corpus(tmp_path / "train.tsv", "en")
+        results, _ = toytask.forward_results(corpus)
+        unaligned, missing = corpus[1], corpus[3]
+        del results[missing.id]
+        slot = unaligned.slots[0]
+        results[unaligned.id] = dataclasses.replace(results[unaligned.id], alignment=frozenset(
+            (i, i) for i in range(len(unaligned.tokens)) if not slot.start <= i < slot.end))
+        save_translations(results, tmp_path / "forward.tsv")
+        obj = json.loads(Path(config).read_text())
+        obj["translation"] = {"forward_translations": "forward.tsv"}
+        Path(config).write_text(json.dumps(obj), encoding="utf-8")
+
+        assert main(["project", "--config", config]) == 0
+        out = tmp_path / "out"
+        assert (out / "removed_project.tsv").read_text().splitlines() == [
+            "%s\tUNALIGNED_SLOT" % unaligned.id, "%s\tNO_TRANSLATION" % missing.id]
+        row = (out / "stage_reports.tsv").read_text().splitlines()[1].split("\t")
+        assert row[:4] == ["project", "20", "18", "NO_TRANSLATION=1,UNALIGNED_SLOT=1"]
+
+        capsys.readouterr()
+        assert main(["translate", "--config", config]) == 0
+        assert "translate: 20 -> 19 removed[NO_TRANSLATION=1]" in capsys.readouterr().out
+        translated = load_translations(out / "translations.tsv")
+        assert sorted(translated) == sorted(u.id for u in corpus if u is not missing)
+
     def test_translate_standalone(self, tmp_path):
         config = toytask.build_workspace(tmp_path)
         assert main(["translate", "--config", config]) == 0
@@ -362,8 +392,8 @@ class TestCompare:
         b = write_report(tmp_path / "b.tsv", 2362)
         table = str(tmp_path / "table.tsv")
         assert main(["compare", a, b, "--out", table]) == 0
-        assert "20.72" not in open(table).read()
-        assert "23.62 (+10.48)" in open(table).read()
+        assert "20.72" not in Path(table).read_text()
+        assert "23.62 (+10.48)" in Path(table).read_text()
 
     def test_mismatched_reports_exit_one(self, tmp_path, capsys):
         a = write_report(tmp_path / "a.tsv", 10)
@@ -382,7 +412,7 @@ class TestSampleGrammar:
         for c in paths["source_catalogs"]:
             argv += ["--catalog", c]
         assert main(argv) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 25
 
     def test_deterministic(self, tmp_path):
@@ -394,7 +424,7 @@ class TestSampleGrammar:
         out1, out2 = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
         assert main(argv_base + ["--out", out1]) == 0
         assert main(argv_base + ["--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_missing_catalog_exits_one(self, tmp_path, capsys):
         paths = toytask.write_task_files(tmp_path)

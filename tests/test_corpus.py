@@ -327,6 +327,24 @@ class TestCatalog:
         with pytest.raises(ValueError):
             Catalog("City", (CatalogEntry(("berlin",), 0.0),))
 
+    @pytest.mark.parametrize("weights", [
+        (3.0, 1.0, 0.0, 2.0, 0.5),   # a zero-weight entry is never drawn
+        (0.0, 0.0, 1.0, 0.0),
+        (0.25,),                     # one entry
+        tuple(float(w % 7) for w in range(1, 200)),
+    ], ids=["mixed", "mostly-zero", "one-entry", "long"])
+    def test_draw_is_the_weighted_choice(self, weights):
+        c = Catalog("City", tuple(CatalogEntry(("v%d" % i,), w) for i, w in enumerate(weights)))
+        for seed in range(200):
+            rng = random.Random(seed)
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            drawn = [c.draw(rng) for _ in range(5)]
+            assert drawn == [clone.choices(c.entries, weights=[e.weight for e in c.entries])[0]
+                             for _ in range(5)]
+            assert rng.getstate() == clone.getstate()
+            assert all(e.weight > 0 for e in drawn)
+
 
 class TestGrammar:
     def test_load(self, tmp_path):

@@ -3,10 +3,16 @@
 import dataclasses
 import functools
 import json
+import logging
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
+import mtnlu
 import toytask
 from mtnlu.corpus import load_catalogs, load_corpus
 from mtnlu import pipeline
@@ -167,7 +173,8 @@ class TestConfigValueTypes:
 
 
     def test_integer_and_float_weights_share_a_fingerprint(self, tmp_path):
-        config = json.loads(open(toytask.build_workspace(tmp_path, n_train=4, n_test=2)).read())
+        config = json.loads(
+            Path(toytask.build_workspace(tmp_path, n_train=4, n_test=2)).read_text())
         fingerprints = set()
         for name, weights in [("ints", [1, 1, 1, 1]), ("floats", [1.0, 1.0, 1.0, 1.0])]:
             config["translation"]["weights"] = weights
@@ -551,7 +558,7 @@ class TestFullRun:
         translations = tmp_path / "t" / "translations.tsv"
         lines = translations.read_text(encoding="utf-8").splitlines(keepends=True)
         (tmp_path / "partial.tsv").write_text("".join(lines[1:]), encoding="utf-8")
-        config = json.loads(open(config_path).read())
+        config = json.loads(Path(config_path).read_text())
         config["translation"] = {"forward_translations": "partial.tsv"}
         partial = tmp_path / "partial.json"
         partial.write_text(json.dumps(config), encoding="utf-8")
@@ -576,7 +583,7 @@ class TestFullRun:
         run_config(config_path, stages=["evaluate"])
         monkeypatch.setattr(pipeline, "load_translations",
                             lambda path: calls.append(path) or load_translations(path))
-        config = json.loads(open(config_path).read())
+        config = json.loads(Path(config_path).read_text())
         config["translation"] = {"forward_translations": "out/translations.tsv"}
         p = tmp_path / "project.json"
         p.write_text(json.dumps(config), encoding="utf-8")
@@ -602,7 +609,7 @@ class TestFullRun:
         config_path = toytask.build_workspace(tmp_path, n_train=20, n_test=5)
         corpus = load_corpus(tmp_path / "train.tsv")
         save_translations(toytask.forward_results(corpus)[0], tmp_path / "forward.tsv")
-        obj = json.loads(open(config_path).read())
+        obj = json.loads(Path(config_path).read_text())
         obj["translation"] = {"forward_translations": "forward.tsv",
                               "backward_phrase_table": "phrases_backward.tsv"}
         obj["stages"] = stages
@@ -661,6 +668,26 @@ class TestFullRun:
         run_config(config_path, out_dir=str(tmp_path / "b"))
         assert_same_files(tmp_path / "a", tmp_path / "b")
 
+    def test_hash_seed_and_blas_threads_change_no_output(self, tmp_path):
+        # City in both post-processing sets runs the mix path: retained
+        # values are source words, redrawn ones come from the _de catalog
+        config_path = toytask.build_workspace(tmp_path, n_train=80, n_test=25, config_update={
+            "postprocess": {"resample_slots": ["City"], "retain_original_slots": ["City"],
+                            "mix_probability": 0.3}})
+        src = str(Path(mtnlu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for name, hashseed, threads in [("a", "1", "1"), ("b", "2", "2")]:
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-m", "mtnlu.cli", "pipeline", "--config",
+                                   config_path, "--out", str(tmp_path / name)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        cities = {s.value for u in load_corpus(tmp_path / "a" / "corpus_postprocessed.tsv")
+                  for s in u.slots if s.slot_type == "City"}
+        assert {c.endswith("_de") for c in cities} == {True, False}
+        assert_same_files(tmp_path / "a", tmp_path / "b")
+
     def test_byte_order_marks_change_no_output(self, tmp_path):
         config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
         run_config(config_path, out_dir=str(tmp_path / "plain"))
@@ -670,6 +697,18 @@ class TestFullRun:
         run_config(config_path, out_dir=str(tmp_path / "marked"))
         assert_same_files(tmp_path / "plain", tmp_path / "marked")
 
+
+def test_convergence_warnings_name_their_stage(tmp_path, caplog):
+    config_path = toytask.build_workspace(tmp_path, n_train=30, n_test=10, config_update={
+        "filter": {"mode": "INTENT_SLOTS"}, "training": {"max_iterations": 1}})
+    with caplog.at_level(logging.WARNING, logger="mtnlu.nlu.optim"):
+        run_config(config_path)
+    assert [r.getMessage().split(" did not converge")[0] for r in caplog.records] == [
+        "CRF slot tagger (stage filter-semantic)",
+        "MaxEnt intent classifier (stage filter-semantic)",
+        "CRF slot tagger (stage train)",
+        "MaxEnt intent classifier (stage train)",
+    ]
 
 class TestSourceSlotTagger:
     """filter-semantic trains a source slot tagger only for the filter mode

@@ -232,6 +232,87 @@ class TestCombined:
         ]
 
 
+def golden_fixture():
+    """Overlapping sets, weighted catalogs with a zero weight, and two
+    multiplicity mismatches (Song in t2, City in t4)."""
+    def line(text, language, source_id=None):
+        u = parse_annotated_line(text, language=language)
+        return Utterance(u.id, language, u.domain, u.intent, u.tokens, u.slots,
+                         source_id=source_id)
+
+    source = [line(text, "en") for text in [
+        "s1\tMusic\tPlay\tplay [yesterday](Song) by [the beatles](Artist) in [london](City)",
+        "s2\tMusic\tPlay\tplay [help](Song) and [let it be](Song) by [the beatles](Artist)",
+        "s3\tInfo\tWeather\tweather in [paris](City) and [rome](City)",
+        "s4\tMusic\tPlay\tplay [abba](Artist) in [oslo](City)",
+        "s5\tInfo\tWeather\tweather in [new york](City) at [noon](Time)",
+    ]]
+    translated = [line(text, "de", "s%d" % i) for i, text in enumerate([
+        "t1\tMusic\tPlay\tspiel [gestern](Song) von [die beatles](Artist) in [londres](City)",
+        "t2\tMusic\tPlay\tspiel [hilfe und lass es sein](Song) von [die beatles](Artist)",
+        "t3\tInfo\tWeather\twetter in [parigi](City) und [rom](City)",
+        "t4\tMusic\tPlay\tspiel [abba](Artist) in [oslo](City) und [bergen](City)",
+        "t5\tInfo\tWeather\twetter in [neu york](City) um [mittag](Time)",
+    ], start=1)]
+    cats = {
+        "City": catalog("City", ("berlin", 3.0), ("bad homburg", 1.0), ("nowhere", 0.0),
+                        ("köln", 2.0)),
+        "Artist": catalog("Artist", ("die toten hosen", 1.0), ("nena", 1.0)),
+    }
+    cfg = PostprocessConfig(resample_slots={"City", "Artist"},
+                            retain_original_slots={"City", "Song"},
+                            mix_probability=0.3, seed=11)
+    return source, translated, cats, cfg
+
+
+class TestGolden:
+    """Outputs and stats pinned from the two-pass implementation this one
+    replaced (retention, then a resampling pass over its output)."""
+
+    def run(self, which):
+        source, translated, cats, cfg = golden_fixture()
+        stats = {}
+        out = {
+            "combined": lambda: combined_postprocess(translated, source, cats, cfg, stats),
+            "resample": lambda: resample_slots(translated, cats, cfg),
+            "retain": lambda: retain_original_slots(translated, source, cfg, stats),
+        }[which]()
+        return [serialize_utterance(u).split("\t")[3] for u in out], stats
+
+    def test_combined(self):
+        assert self.run("combined") == ([
+            "spiel [yesterday](Song) von [nena](Artist) in [london](City)",
+            "spiel [hilfe und lass es sein](Song) von [die toten hosen](Artist)",
+            "wetter in [paris](City) und [köln](City)",
+            "spiel [die toten hosen](Artist) in [oslo](City) und [bad homburg](City)",
+            "wetter in [bad homburg](City) um [mittag](Time)",
+        ], {MULTIPLICITY_MISMATCH: 2})
+
+    def test_resample(self):
+        assert self.run("resample") == ([
+            "spiel [gestern](Song) von [nena](Artist) in [köln](City)",
+            "spiel [hilfe und lass es sein](Song) von [die toten hosen](Artist)",
+            "wetter in [köln](City) und [köln](City)",
+            "spiel [die toten hosen](Artist) in [bad homburg](City) und [berlin](City)",
+            "wetter in [bad homburg](City) um [mittag](Time)",
+        ], {})
+
+    def test_retain(self):
+        assert self.run("retain") == ([
+            "spiel [yesterday](Song) von [die beatles](Artist) in [london](City)",
+            "spiel [hilfe und lass es sein](Song) von [die beatles](Artist)",
+            "wetter in [paris](City) und [rome](City)",
+            "spiel [abba](Artist) in [oslo](City) und [bergen](City)",
+            "wetter in [new york](City) um [mittag](Time)",
+        ], {MULTIPLICITY_MISMATCH: 2})
+
+    def test_missing_source_is_reported_before_a_missing_catalog(self):
+        source, translated, _, cfg = golden_fixture()
+        orphan = utt("t9", "spiel x", [("Song", 1, 2)], source_id="s9")
+        with pytest.raises(ConfigError, match="s9"):
+            combined_postprocess(translated + [orphan], source, {}, cfg)
+
+
 class TestInvariantsOnRandomLayouts:
     def test_reindexing_preserves_structure(self):
         rng = random.Random(21)

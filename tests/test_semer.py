@@ -1,6 +1,7 @@
 """Semantic error rate and run comparison."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -209,7 +210,7 @@ class TestReportIO:
         a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
         write_semer_report(report, a)
         write_semer_report(report, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_read_rejects_inconsistent_error_total(self, tmp_path):
         path = tmp_path / "bad.tsv"
