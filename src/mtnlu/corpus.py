@@ -12,8 +12,8 @@ in ``[value tokens](SlotType)`` brackets::
 Lines starting with ``#`` and blank lines are ignored.  Catalogs (weighted
 value lists per slot type) and grammar templates come in their own line
 formats; see `load_catalog` and `load_grammar`.  Every line format of the
-package is read by `read_records` and every JSON file by `read_json`; every
-text file but the model files is written by `write_lines`.
+package is read by `read_records`, every JSON file by `read_json` and `parse`;
+every text file but the model files is written by `write_lines`.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+import sys
+from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
+from typing import (Callable, Iterable, Mapping, NewType, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from .errors import ConfigError, FormatError
 
@@ -38,15 +42,15 @@ _BAD_TOKEN_CHAR = re.compile(r"[\s\[\]]")
 
 
 def _check_token(token: str) -> None:
-    if not token:
-        raise ValueError("tokens must be non-empty")
+    if not isinstance(token, str) or not token:
+        raise ValueError("tokens must be non-empty strings")
     if _BAD_TOKEN_CHAR.search(token):
         if any(c.isspace() for c in token):
             raise ValueError("token %r contains whitespace" % token)
         raise ValueError("token %r contains a bracket character" % token)
 
 
-def _check_name(name: str, what: str) -> None:
+def check_name(name: str, what: str) -> None:
     if not name or any(c.isspace() for c in name) or any(c in "[]()" for c in name):
         raise ValueError("invalid %s: %r" % (what, name))
 
@@ -61,7 +65,7 @@ class SlotSpan:
     value: str
 
     def __post_init__(self):
-        _check_name(self.slot_type, "slot type")
+        check_name(self.slot_type, "slot type")
         if not (0 <= self.start < self.end):
             raise ValueError(
                 "bad span [%d, %d) for %s" % (self.start, self.end, self.slot_type)
@@ -159,7 +163,7 @@ def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
             if close_paren == -1:
                 raise ValueError("unterminated slot type")
             slot_type = markup[close + 2 : close_paren]
-            _check_name(slot_type, "slot type")
+            check_name(slot_type, "slot type")
             start = len(tokens)
             tokens.extend(value_tokens)
             slots.append(make_span(tokens, slot_type, start, len(tokens)))
@@ -277,13 +281,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def read_json(path, invalid: str = "not a JSON file"):
     """The JSON value in the UTF-8 file at `path`, after a leading byte-order
-    mark if there is one.  Text that is not UTF-8 or not JSON, or an object
-    that repeats a key, is a FormatError that names the file and starts with
-    `invalid`."""
+    mark if there is one.  Text that is not UTF-8 or not JSON, an object
+    that repeats a key, or values nested too deep to decode, is a FormatError
+    that names the file and starts with `invalid`."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError("%s: %s" % (invalid, exc), path=path) from exc
 
 
@@ -324,7 +328,7 @@ class CatalogEntry:
             raise ValueError("catalog entry must have at least one token")
         for t in self.tokens:
             _check_token(t)
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+        if not 0 <= self.weight <= sys.float_info.max:
             raise ValueError("catalog weight must be a finite non-negative number")
 
     @property
@@ -344,7 +348,7 @@ class Catalog:
     entries: tuple[CatalogEntry, ...]
 
     def __post_init__(self):
-        _check_name(self.slot_type, "slot type")
+        check_name(self.slot_type, "slot type")
         object.__setattr__(self, "entries", tuple(_lowercased(e) for e in self.entries))
         if not self.entries:
             raise ValueError("catalog %s has no entries" % self.slot_type)
@@ -405,6 +409,146 @@ def load_catalogs(paths) -> dict[str, Catalog]:
     return catalogs
 
 
+# --- JSON values checked against type annotations ---------------------------
+
+InputPath = NewType("InputPath", str)
+"""A config value naming an input file: resolved against the config file's
+directory, and it must exist."""
+NonNegative = NewType("NonNegative", float)
+Matrix = NewType("Matrix", list)
+
+# (singular, plural) of each leaf type, for error messages
+_KINDS = {
+    bool: ("true or false", "booleans"),
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    InputPath: ("a non-empty path string", "paths"),
+    NonNegative: ("a finite non-negative number", "finite non-negative numbers"),
+    Matrix: ("a list of equal-length lists of numbers", "matrices"),
+    Catalog: ("a catalog", "[slot type, [[[token, ...], weight], ...]] pairs"),
+}
+
+
+def _config_fields(cls) -> list:
+    return [f for f in fields(cls) if f.metadata.get("config", True)]
+
+
+def _is_kind(kind, value) -> bool:
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is float:  # finite; an int beyond the float range is not finite either
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is NonNegative:
+        return _is_kind(float, value) and value >= 0
+    if kind is InputPath:
+        return isinstance(value, str) and value != ""
+    if kind is Matrix:  # the float rule by `map` over all entries: a model holds many
+        if not (isinstance(value, list) and all(
+                isinstance(row, list) and len(row) == len(value[0]) for row in value)):
+            return False
+        numbers = list(itertools.chain.from_iterable(value))
+        return {int, float}.issuperset(map(type, numbers)) \
+            and all(map(sys.float_info.max.__ge__, map(abs, numbers)))
+    if kind is Catalog:  # [slot type, [[[token, ...], weight], ...]]; CatalogEntry checks more
+        return isinstance(value, list) and len(value) == 2 and isinstance(value[0], str) \
+            and isinstance(value[1], list) and all(
+                type(e) is list and len(e) == 2 and type(e[0]) is list
+                and type(e[1]) in (int, float) for e in value[1])
+    return isinstance(value, kind)
+
+
+def _leaf(kind, value, key: str, base: Path | None):
+    if kind is float:
+        return float(value)
+    if kind is InputPath:
+        path = base / value
+        if not os.path.exists(path):  # False, not OSError, for a name too long
+            raise ValueError("%s: no such file: %s" % (key, path))
+        return str(path)
+    if kind is Catalog:
+        return Catalog(value[0], tuple(CatalogEntry(tuple(t), w) for t, w in value[1]))
+    return value
+
+
+def _shown(value) -> str:
+    """`value` as JSON, cut to about 60 characters."""
+    try:
+        text = json.dumps(value)
+    except RecursionError:  # nested nearly as deep as `read_json` can decode
+        text = "a value nested too deep to show"
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
+def parse(hint, value, key: str, base: Path | None = None, items: str | None = None):
+    """`value` checked against the annotation `hint` and converted to it, or
+    a ValueError that names `key`.  A dataclass `hint` is an object of its
+    config fields, which take their defaults when left out; a dict `hint`
+    maps each key that the object must hold to its annotation.  InputPath
+    values are resolved against `base`; `items` names a fixed list's entries."""
+    if is_dataclass(hint) or isinstance(hint, dict):
+        if not isinstance(value, dict):
+            raise ValueError("%s must be a JSON object, got %s" % (key, _shown(value)))
+        if isinstance(hint, dict):
+            schema, meta = hint, {}
+            missing = [k for k in hint if k not in value]
+            if missing:
+                raise ValueError("missing key %r in %s" % (missing[0], key))
+        else:
+            hints, config_fields = get_type_hints(hint), _config_fields(hint)
+            schema = {f.name: hints[f.name] for f in config_fields}
+            meta = {f.name: f.metadata.get("items") for f in config_fields}
+        unknown = sorted(value.keys() - schema.keys())
+        if unknown:
+            raise ValueError("unknown key %r in %s" % (unknown[0], key))
+        parsed = {k: parse(h, value[k], k, base, meta.get(k)) for k, h in schema.items()
+                  if k in value}
+        return parsed if isinstance(hint, dict) else hint(**parsed)
+    args = get_args(hint)
+    optional = type(None) in args
+    if optional:
+        if value is None:
+            return None
+        hint = args[0]  # X | None
+        args = get_args(hint)
+    container = get_origin(hint)
+    if container is None:
+        ok = _is_kind(hint, value)
+        expected = _KINDS[hint][0]
+    else:  # tuple[kind, ...], tuple[kind, kind, ...] or frozenset[kind]
+        sized = container is tuple and args[-1] is not Ellipsis
+        ok = isinstance(value, (list, tuple)) \
+            and (not sized or len(value) == len(args)) \
+            and all(_is_kind(args[0], v) for v in value)
+        expected = "a list of %s%s%s" % (
+            "%d " % len(args) if sized else "", _KINDS[args[0]][1],
+            " (%s)" % items if items else "")
+    if not ok:
+        raise ValueError("%s must be %s%s, got %s"
+                         % (key, expected, " or null" if optional else "", _shown(value)))
+    if container is None:
+        return _leaf(hint, value, key, base)
+    return container(_leaf(args[0], v, key, base) for v in value)
+
+
+def to_json(config) -> dict:
+    """The config fields of a config dataclass as JSON data: sections as
+    objects, tuples as lists and sets as sorted lists."""
+    out = {}
+    for f in _config_fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = to_json(value)
+        elif isinstance(value, (tuple, list)):
+            value = list(value)
+        elif isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        out[f.name] = value
+    return out
+
+
 def _is_placeholder(token: str) -> bool:
     return len(token) > 2 and token.startswith("{") and token.endswith("}")
 
@@ -420,8 +564,8 @@ class GrammarTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(self.pattern))
-        _check_name(self.intent, "intent")
-        _check_name(self.domain, "domain")
+        check_name(self.intent, "intent")
+        check_name(self.domain, "domain")
         if not self.pattern:
             raise ValueError("empty grammar pattern")
         if not (self.weight > 0):

@@ -18,16 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, SlotSpan, Utterance, make_span
+from ..corpus import Catalog, Matrix, SlotSpan, Utterance, check_name, make_span
 from .features import Gazetteers, sequence_features
-from .modelio import (design_matrix, feature_ids, load_model, logsumexp, number_matrix,
-                      save_model, string_list)
+from .modelio import design_matrix, feature_ids, load_model, logsumexp, save_model
 from .optim import TrainingConfig, minimize
 
 OUTSIDE = "O"
 
 # the model file's own keys, besides the envelope that modelio writes
-_FILE_KEYS = {"labels": string_list, "emissions": number_matrix, "transitions": number_matrix}
+_FILE_KEYS = {"labels": tuple[str, ...], "emissions": Matrix, "transitions": Matrix}
 
 
 def bio_labels(slot_types: Iterable[str]) -> tuple[str, ...]:
@@ -99,7 +98,11 @@ class CrfModel:
         if OUTSIDE not in self.labels:
             raise ValueError("label set must contain O")
         types = {lab[2:] for lab in self.labels if lab != OUTSIDE}
+        for lab in self.labels:
+            if lab != OUTSIDE and lab[:2] not in ("B-", "I-"):
+                raise ValueError("bad BIO label %r" % lab)
         for t in types:
+            check_name(t, "slot type")
             if "B-" + t not in self.labels or "I-" + t not in self.labels:
                 raise ValueError("label set not BIO-closed for type %r" % t)
         if self.emissions.shape != (len(self.feature_index), L):

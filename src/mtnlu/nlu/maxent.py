@@ -11,14 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, Utterance
+from ..corpus import Catalog, Matrix, Utterance
 from .features import Gazetteers, intent_features
-from .modelio import (design_matrix, feature_ids, load_model, logsumexp, number_matrix,
-                      save_model, string_list)
+from .modelio import design_matrix, feature_ids, load_model, logsumexp, save_model
 from .optim import TrainingConfig, minimize
 
 # the model file's own keys, besides the envelope that modelio writes
-_FILE_KEYS = {"intents": string_list, "weights": number_matrix}
+_FILE_KEYS = {"intents": tuple[str, ...], "weights": Matrix}
 
 
 @dataclass(eq=False)
@@ -36,6 +35,9 @@ class MaxEntModel:
             raise ValueError("intent set must be non-empty")
         if len(set(self.intents)) < len(self.intents):
             raise ValueError("intent set repeats an intent")
+        for intent in self.intents:  # what the intent field of a corpus line can hold
+            if not intent or intent != intent.strip() or any(c in intent for c in "\t\r\n"):
+                raise ValueError("invalid intent: %r" % intent)
         if self.weights.shape != (len(self.feature_index), len(self.intents)):
             raise ValueError("weights shape mismatch")
         if not np.all(np.isfinite(self.weights)):
@@ -56,8 +58,8 @@ class MaxEntModel:
         save_model(self, path, "maxent-model", _FILE_KEYS)
 
     @classmethod
-    def load(cls, path) -> "MaxEntModel":
-        return load_model(cls, path, "maxent-model", _FILE_KEYS)
+    def load(cls, path, catalogs: dict[str, Catalog] | None = None) -> "MaxEntModel":
+        return load_model(cls, path, "maxent-model", _FILE_KEYS, catalogs)
 
 
 def classify_intent(model: MaxEntModel, tokens: Sequence[str]) -> tuple[str, float]:

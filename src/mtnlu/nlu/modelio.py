@@ -13,12 +13,11 @@ that names the file.
 from __future__ import annotations
 
 import json
-import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, CatalogEntry, checked, read_json
+from ..corpus import Catalog, NonNegative, checked, parse, read_json
 from ..errors import FormatError
 
 
@@ -56,96 +55,49 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(np.log1p(s) + np.log(m) + top, axis)
 
 
-def string_list(value) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError("must be a list of strings")
-    return tuple(value)
+# the envelope keys that every model file holds, with their annotations
+_ENVELOPE = {"format": str, "version": int, "l2": NonNegative, "features": tuple[str, ...],
+             "gazetteers": tuple[Catalog, ...]}
 
 
-def number_matrix(value) -> np.ndarray:
-    try:
-        array = np.asarray(value)
-        # numpy reads a JSON true in a list of numbers as 1.0
-        if array.ndim == 2 and array.dtype.kind in "iuf" and not any(
-                v is True or v is False for row in value for v in row):
-            return array
-    except ValueError:  # rows of different lengths
-        pass
-    raise ValueError("must be a list of equal-length lists of numbers")
-
-
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError("must be a finite non-negative number")
-    return value
-
-
-# the JSON text and the catalogs of the last `_catalogs` build
-_last_build: tuple[str, dict[str, Catalog]] = ("", {})
-
-
-def _catalogs(value) -> dict[str, Catalog]:
-    """The catalogs of a ``gazetteers`` value.  The two files of a model pair
-    hold the same value, so the second reuses the first's frozen catalogs.
-    The key is the JSON text, which tells ``true``, ``1`` and ``1.0`` apart."""
-    global _last_build
-    key = json.dumps(value)
-    if key != _last_build[0]:
-        _last_build = (key, _build_catalogs(value))
-    return dict(_last_build[1])
-
-
-def _build_catalogs(value) -> dict[str, Catalog]:
-    catalogs: dict[str, Catalog] = {}
-    try:
-        if not isinstance(value, list):
-            raise TypeError("not a list")
-        for slot_type, entries in value:
-            if slot_type in catalogs:
-                raise ValueError("duplicate slot type %r" % slot_type)
-            catalogs[slot_type] = Catalog(slot_type, tuple(
-                CatalogEntry(string_list(tokens), _number(w)) for tokens, w in entries))
-    except (TypeError, ValueError) as exc:
-        raise ValueError("must be a list of [slot type, [[tokens, weight], ...]] pairs (%s)"
-                         % exc) from exc
-    return catalogs
-
-
-_ENVELOPE: dict[str, Callable] = {"l2": _number, "features": string_list, "gazetteers": _catalogs}
+def _catalogs_json(catalogs: Mapping[str, Catalog]) -> list:
+    """`catalogs` as the ``gazetteers`` value of a model file."""
+    return [[t, [[e.tokens, e.weight] for e in catalogs[t].entries]] for t in sorted(catalogs)]
 
 
 def save_model(model, path, fmt: str, keys: Iterable[str]) -> None:
     """Write `model` as a `fmt` file: the envelope plus the model fields `keys`."""
-    index, gazetteers = model.feature_index, model.gazetteers
+    index = model.feature_index
     obj = dict(
         {key: getattr(model, key) for key in keys},
         format=fmt, version=1, l2=model.l2, features=sorted(index, key=index.__getitem__),
-        gazetteers=[[t, [[e.tokens, e.weight] for e in gazetteers[t].entries]]
-                    for t in sorted(gazetteers)],
+        gazetteers=_catalogs_json(model.gazetteers),
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
         fh.write("\n")
 
 
-def load_model(cls, path, fmt: str, keys: Mapping[str, Callable]):
-    """The `cls` model in the `fmt` file at `path`; `keys` maps each of the
-    model's own keys to the function that checks and converts its value."""
+def load_model(cls, path, fmt: str, keys: Mapping[str, object],
+               catalogs: Mapping[str, Catalog] | None = None):
+    """The `cls` model in the `fmt` file at `path`; `keys` maps the model's
+    own keys to their annotations (see `corpus.parse`).  The second file of a
+    pair reuses the first's `catalogs` if it holds them: comparing the JSON
+    text tells ``true``, ``1`` and ``1.0`` apart."""
     obj = read_json(path)
     if not (isinstance(obj, dict) and obj.get("format") == fmt
             and type(obj.get("version")) is int and obj["version"] == 1):
         raise FormatError("not a version-1 %s file" % fmt, path=path)
-    checks = {**_ENVELOPE, **keys}
-    unknown = sorted(obj.keys() - checks.keys() - {"format", "version"})
-    if unknown:
-        raise FormatError("unknown key %r" % unknown[0], path=path)
-    values = {}
-    for key, check in checks.items():
-        if key not in obj:
-            raise FormatError("missing key %r" % key, path=path)
-        try:
-            values[key] = check(obj[key])
-        except ValueError as exc:
-            raise FormatError("%s %s" % (key, exc), path=path) from exc
+    hints = {**_ENVELOPE, **keys}
+    shared = catalogs is not None and json.dumps(obj.get("gazetteers")) == json.dumps(
+        _catalogs_json(catalogs))
+    if shared:
+        del hints["gazetteers"], obj["gazetteers"]
+    values = checked(path, None, parse, hints, obj, fmt)
+    if not shared:
+        catalogs = {c.slot_type: c for c in values["gazetteers"]}
+        if len(catalogs) < len(values["gazetteers"]):
+            raise FormatError("gazetteers repeat a slot type", path=path)
     features = values.pop("features")
-    return checked(path, None, cls, feature_index={f: i for i, f in enumerate(features)}, **values)
+    return checked(path, None, cls, feature_index={f: i for i, f in enumerate(features)},
+                   gazetteers=dict(catalogs), **{k: values[k] for k in keys}, l2=values["l2"])

@@ -15,23 +15,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import time
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, NewType, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 from .corpus import (
     Catalog,
+    InputPath,
     Utterance,
     checked,
     load_catalogs,
     load_corpus,
+    parse,
     read_json,
     save_corpus,
     serialize_utterance,
     text_lines,
+    to_json,
     write_lines,
 )
 from .errors import ConfigError, FormatError, MtnluError
@@ -112,11 +114,6 @@ class StageFailure(MtnluError):
         super().__init__("stage %s failed: %s" % (stage, cause))
 
 
-InputPath = NewType("InputPath", str)
-"""A config value naming an input file: resolved against the config file's
-directory, and it must exist."""
-
-
 @dataclass(frozen=True)
 class TranslationConfig:
     """The `translation` section: where each direction comes from (a
@@ -193,7 +190,7 @@ class PipelineConfig:
         The output directory is deliberately excluded: where files land has
         no effect on their contents.
         """
-        effective = _to_json(self)
+        effective = to_json(self)
         del effective["out_dir"]
         return effective
 
@@ -218,108 +215,6 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# --- the config schema: parsing and serialisation ------------------------------
-
-# (singular, plural) of each leaf type, for error messages
-_KINDS = {
-    bool: ("true or false", "booleans"),
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
-    InputPath: ("a non-empty path string", "paths"),
-}
-
-
-def _config_fields(cls) -> list:
-    return [f for f in fields(cls) if f.metadata.get("config", True)]
-
-
-def _is_kind(kind, value) -> bool:
-    if kind is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if kind is float:  # finite; an int beyond the float range is not finite either
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if kind is InputPath:
-        return isinstance(value, str) and value != ""
-    return isinstance(value, kind)
-
-
-def _leaf(kind, value, key: str, base: Path):
-    if kind is float:
-        return float(value)
-    if kind is InputPath:
-        path = base / value
-        if not path.exists():
-            raise ConfigError("%s: no such file: %s" % (key, path))
-        return str(path)
-    return value
-
-
-def _parse(hint, value, key: str, base: Path, items: str | None = None):
-    """`value` checked against the annotation `hint` and converted to it."""
-    if is_dataclass(hint):
-        return _parse_section(hint, value, key, base)
-    args = get_args(hint)
-    optional = type(None) in args
-    if optional:
-        if value is None:
-            return None
-        hint = args[0]  # X | None
-        args = get_args(hint)
-    container = get_origin(hint)
-    if container is None:
-        ok = _is_kind(hint, value)
-        expected = _KINDS[hint][0]
-    else:  # tuple[kind, ...], tuple[kind, kind, ...] or frozenset[kind]
-        sized = container is tuple and args[-1] is not Ellipsis
-        ok = isinstance(value, (list, tuple)) \
-            and (not sized or len(value) == len(args)) \
-            and all(_is_kind(args[0], v) for v in value)
-        expected = "a list of %s%s%s" % (
-            "%d " % len(args) if sized else "", _KINDS[args[0]][1],
-            " (%s)" % items if items else "")
-    if not ok:
-        raise ConfigError("%s must be %s%s, got %s"
-                          % (key, expected, " or null" if optional else "", json.dumps(value)))
-    if container is None:
-        return _leaf(hint, value, key, base)
-    return container(_leaf(args[0], v, key, base) for v in value)
-
-
-def _parse_section(cls, obj, where: str, base: Path):
-    """An instance of the config dataclass `cls` from the JSON object `obj`;
-    absent keys take the field defaults."""
-    if not isinstance(obj, dict):
-        raise ConfigError("%s must be a JSON object, got %s" % (where, json.dumps(obj)))
-    schema = _config_fields(cls)
-    unknown = sorted(set(obj) - {f.name for f in schema})
-    if unknown:
-        raise ConfigError("unknown %s keys: %s" % (where, ", ".join(unknown)))
-    hints = get_type_hints(cls)
-    return cls(**{
-        f.name: _parse(hints[f.name], obj[f.name], f.name, base, f.metadata.get("items"))
-        for f in schema if f.name in obj
-    })
-
-
-def _to_json(config) -> dict:
-    """The config fields of a config dataclass as JSON data: sections as
-    objects, tuples as lists and sets as sorted lists."""
-    out = {}
-    for f in _config_fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            value = _to_json(value)
-        elif isinstance(value, (tuple, list)):
-            value = list(value)
-        elif isinstance(value, (set, frozenset)):
-            value = sorted(value)
-        out[f.name] = value
-    return out
-
-
 def load_pipeline_config(
     path,
     seed: int | None = None,
@@ -333,21 +228,20 @@ def load_pipeline_config(
     path = Path(path)
     try:
         obj = read_json(path, "config is not valid JSON")
+        base = path.resolve().parent
+        if isinstance(obj, dict):  # `parse` rejects any other root
+            if out_dir is None and isinstance(obj.get("out_dir"), str):
+                obj["out_dir"] = str(base / obj["out_dir"])
+            for key, value in (("seed", seed), ("stages", stages), ("out_dir", out_dir)):
+                if value is not None:
+                    obj[key] = value
+            if obj.get("out_dir") is None:
+                raise ConfigError("out_dir must be set in the config or with --out")
+        return parse(PipelineConfig, obj, "config", base)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
-    except FormatError as exc:
+    except (FormatError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    base = path.resolve().parent
-    if out_dir is None and isinstance(obj.get("out_dir"), str):
-        obj["out_dir"] = str(base / obj["out_dir"])
-    for key, value in (("seed", seed), ("stages", stages), ("out_dir", out_dir)):
-        if value is not None:
-            obj[key] = value
-    if obj.get("out_dir") is None:
-        raise ConfigError("out_dir must be set in the config or with --out")
-    return _parse_section(PipelineConfig, obj, "config", base)
 
 
 # --- run state and reports ---------------------------------------------------
@@ -628,7 +522,8 @@ def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
             raise ConfigError("no trained model %s: run the train stage first or place "
                               "crf_model.json and intent_model.json in the output directory"
                               % (out / name))
-    return CrfModel.load(out / "crf_model.json"), MaxEntModel.load(out / "intent_model.json")
+    crf = CrfModel.load(out / "crf_model.json")
+    return crf, MaxEntModel.load(out / "intent_model.json", crf.gazetteers)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

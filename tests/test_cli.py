@@ -82,7 +82,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data.replace(b"{", b'{"seed": 8,', 1), "repeated key 'seed'"),
         (lambda data: b"\xff" + data, "'utf-8' codec can't decode byte 0xff"),
-    ], ids=["repeated-key", "leading-0xff"])
+        (lambda data: b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
+    ], ids=["repeated-key", "leading-0xff", "nested-1000-deep"])
     def test_unreadable_config_names_the_file(self, tmp_path, capsys, corrupt, message):
         config = Path(toytask.build_workspace(tmp_path, n_train=4, n_test=2))
         config.write_bytes(corrupt(config.read_bytes()))
@@ -147,6 +148,31 @@ def _names(obj):
     return obj["labels"] if "labels" in obj else obj["intents"]
 
 
+def _rename_first(slot_type, intent):
+    """Rename the first slot type in the labels, or the first intent."""
+    def edit(obj):
+        if "labels" in obj:
+            old = obj["labels"][1][2:]
+            obj["labels"] = [lab[:2] + slot_type if lab[2:] == old else lab
+                             for lab in obj["labels"]]
+        else:
+            obj["intents"][0] = intent
+    return _edit_json(edit)
+
+
+def _add_name(label, intent):
+    """Add a label or an intent, and a column of zeros (and for transitions
+    a row too) to each matrix."""
+    def edit(obj):
+        _names(obj).append(label if "labels" in obj else intent)
+        for matrix in _matrices(obj):
+            for row in matrix:
+                row.append(0.0)
+        if "transitions" in obj:
+            obj["transitions"].append([0.0] * len(obj["labels"]))
+    return _edit_json(edit)
+
+
 # (probe, corrupt the model file's bytes, what the error names, or that per file)
 MODEL_FILE_PROBES = [
     ("array-root", lambda data: b"[" + data.strip() + b"]", "not a version-1"),
@@ -171,6 +197,17 @@ MODEL_FILE_PROBES = [
     ("last-matrix-false", _edit_json(lambda obj: _matrices(obj)[-1][-1].__setitem__(-1, False)),
      {"crf_model.json": "transitions must be a list",
       "intent_model.json": "weights must be a list"}),
+    ("nested-100000-deep", lambda data: b"[" * 100000 + b"]" * 100000,
+     "not a JSON file: maximum recursion depth exceeded"),
+    # names that no corpus line can hold, so no trainer writes them
+    ("empty-name", _rename_first("", ""),
+     {"crf_model.json": "invalid slot type: ''", "intent_model.json": "invalid intent: ''"}),
+    ("name-with-whitespace", _rename_first("new city", "Play\tMusic"),
+     {"crf_model.json": "invalid slot type: 'new city'",
+      "intent_model.json": "invalid intent: 'Play\\tMusic'"}),
+    ("extra-name", _add_name("Q-ArtistName", " Extra"),
+     {"crf_model.json": "bad BIO label 'Q-ArtistName'",
+      "intent_model.json": "invalid intent: ' Extra'"}),
 ]
 
 

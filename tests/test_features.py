@@ -17,7 +17,6 @@ from mtnlu.nlu import (
     train_intent_classifier,
     train_slot_tagger,
 )
-from mtnlu.nlu import modelio
 from mtnlu.nlu.features import gazetteer_hits
 from oracles import gazetteer_hits_linear_scan
 
@@ -152,7 +151,7 @@ class TestGazetteerIndex:
         assert gazetteer_hits(tokens, gazetteers) == expected
         assert gazetteer_hits_linear_scan(tokens, gazetteers) == expected
 
-    def test_models_rebuild_the_index_after_loading(self, tmp_path, monkeypatch):
+    def test_models_rebuild_the_index_after_loading(self, tmp_path):
         gazetteers = {"City": catalog("City", "Berlin", "new york"),
                       "Song": catalog("Song", "new york new york")}
         corpus = [
@@ -174,8 +173,6 @@ class TestGazetteerIndex:
             model.save(path)
             text = path.read_text(encoding="utf-8")
             assert "entries_by_length" not in text
-            # a fresh build: equal gazetteers would reuse the last load's catalogs
-            monkeypatch.setattr(modelio, "_last_build", ("", {}))
             loaded = cls.load(path)
             assert all("entries_by_length" not in vars(c) for c in loaded.gazetteers.values())
             for tokens in probes:

@@ -1,6 +1,8 @@
 """Every file the package reads or writes goes through a few shared functions
 (see `mtnlu.corpus`), so each has one rule for encoding, line ends and bad
-input.  This test finds every call that touches a file in the source."""
+input.  This test finds every call that touches a file in the source, and
+every `global` statement: what one call leaves for the next is passed as an
+argument, not kept in module state."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,11 @@ def test_files_are_read_and_written_only_by_the_shared_functions():
 
 def test_every_allowed_function_still_touches_files():
     assert {c[:2] for c in file_calls()} == ALLOWED
+
+
+def test_no_function_rebinds_a_module_global():
+    found = [(path.relative_to(SRC).as_posix(), node.lineno)
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []

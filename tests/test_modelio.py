@@ -79,9 +79,8 @@ def trained_models(tmp_path_factory):
 
 
 @pytest.fixture
-def models(tmp_path, trained_models, monkeypatch):
-    """A copy of the trained pair, loaded with no build left from earlier loads."""
-    monkeypatch.setattr(modelio, "_last_build", ("", {}))
+def models(tmp_path, trained_models):
+    """A copy of the trained pair."""
     out = tmp_path / "out"
     shutil.copytree(trained_models, out)
     return out
@@ -96,16 +95,14 @@ def edit_intent_gazetteers(out, edit):
 
 
 class TestSharedCatalogs:
-    def test_pair_shares_one_build(self, models, monkeypatch):
+    def test_pair_shares_one_build(self, models):
         crf_model, maxent_model = _load_models(models)
         assert crf_model.gazetteers and crf_model.gazetteers is not maxent_model.gazetteers
         assert crf_model.gazetteers.keys() == maxent_model.gazetteers.keys()
         for slot_type, catalog in crf_model.gazetteers.items():
             assert maxent_model.gazetteers[slot_type] is catalog
 
-        monkeypatch.setattr(modelio, "_last_build", ("", {}))
         fresh_crf = crf.CrfModel.load(models / "crf_model.json")
-        monkeypatch.setattr(modelio, "_last_build", ("", {}))
         fresh_maxent = maxent.MaxEntModel.load(models / "intent_model.json")
         assert fresh_crf.gazetteers["City"] is not fresh_maxent.gazetteers["City"]
         for u in toytask.sample_target_test(20, 3):
