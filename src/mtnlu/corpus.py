@@ -469,7 +469,13 @@ def _leaf(kind, value, key: str, base: Path | None):
             raise ValueError("%s: no such file: %s" % (key, path))
         return str(path)
     if kind is Catalog:
-        return Catalog(value[0], tuple(CatalogEntry(tuple(t), w) for t, w in value[1]))
+        entries = []
+        for i, (tokens, weight) in enumerate(value[1]):
+            try:
+                entries.append(CatalogEntry(tuple(tokens), weight))
+            except ValueError as exc:
+                raise ValueError("%s: catalog %r entry %d: %s" % (key, value[0], i, exc)) from exc
+        return Catalog(value[0], tuple(entries))
     return value
 
 

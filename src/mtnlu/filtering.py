@@ -6,6 +6,7 @@ Two independent mechanisms:
   translating the result back, and re-running source-language NLU lands on
   the same interpretation it started with.  Stricter modes also compare
   slots or require a minimum intent confidence on the back-translation.
+  Its forward half, `project_corpus`, is also the pipeline's project stage.
 
 * `score_filter` keeps an utterance only when its length-normalized
   translation score clears a per-domain threshold of mean + k * stdev.
@@ -101,6 +102,27 @@ def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> dict:
     return counts
 
 
+def project_corpus(
+    corpus: Sequence[Utterance], forward: Translator, target_language: str = ""
+) -> FilterOutcome:
+    """Translate each utterance with `forward` and carry its annotations onto
+    the translation (see `project_annotations`).  A missing translation
+    removes the utterance with NO_TRANSLATION, a rejected projection with the
+    rejection's reason; the kept utterances are the projected targets."""
+    kept: list[Utterance] = []
+    removed: list[tuple[str, str]] = []
+    for u in corpus:
+        result = forward.translate(u.tokens, u.id)
+        if result is None:
+            removed.append((u.id, NO_TRANSLATION))
+            continue
+        try:
+            kept.append(project_annotations(u, result, target_language))
+        except ProjectionRejected as rejection:
+            removed.append((u.id, rejection.reason))
+    return FilterOutcome(kept, removed)
+
+
 def roundtrip_filter(
     source_corpus: Sequence[Utterance],
     forward: Translator,
@@ -111,31 +133,26 @@ def roundtrip_filter(
 ) -> FilterOutcome:
     """Keep utterances whose interpretation survives a translation round trip.
 
-    Per utterance: run source-language NLU on it, translate it forward,
-    project its annotations onto the translation, translate the result back,
-    run the same NLU on the back-translation, and keep the projected target
-    utterance only when the two NLU readings agree (see FilterConfig for the
-    agreement criterion).  A missing translation in either direction removes
-    the utterance with NO_TRANSLATION; projection failures remove it with
-    the projection's reason.  The slot tagger of `source_nlu` is read only
+    First `project_corpus` translates the corpus forward and projects its
+    annotations.  Then, per projection: translate it back, run source-language
+    NLU on the back-translation and on the source utterance, and keep the
+    projection only when the two NLU readings agree (see FilterConfig for the
+    agreement criterion).  A missing back-translation removes the utterance
+    with NO_TRANSLATION.  Removals are listed in input order.  The source
+    utterance of a projection is found by its id, so ids must be unique, as
+    `load_corpus` makes them.  The slot tagger of `source_nlu` is read only
     in the INTENT_SLOTS mode, and may be None in the others.
     """
     crf, maxent = source_nlu
     if crf is None and config.mode == MODE_INTENT_SLOTS:
         raise ValueError("the %s filter mode needs a source slot tagger" % MODE_INTENT_SLOTS)
+    projection = project_corpus(source_corpus, forward, target_language)
+    position = {u.id: i for i, u in enumerate(source_corpus)}
     kept: list[Utterance] = []
-    removed: list[tuple[str, str]] = []
-    for u in source_corpus:
-        fwd = forward.translate(u.tokens, u.id)
-        if fwd is None:
-            removed.append((u.id, NO_TRANSLATION))
-            continue
-        try:
-            projected = project_annotations(u, fwd, target_language)
-        except ProjectionRejected as rejection:
-            removed.append((u.id, rejection.reason))
-            continue
-        back = backward.translate(fwd.target_tokens, u.id)
+    removed = projection.removed
+    for projected in projection.kept:
+        u = source_corpus[position[projected.id]]
+        back = backward.translate(projected.tokens, u.id)
         if back is None:
             removed.append((u.id, NO_TRANSLATION))
             continue
@@ -162,6 +179,7 @@ def roundtrip_filter(
             removed.append((u.id, SLOT_MISMATCH))
         else:
             kept.append(projected)
+    removed.sort(key=lambda r: position[r[0]])
     return FilterOutcome(kept, removed)
 
 

@@ -42,6 +42,7 @@ from .filtering import (
     NO_TRANSLATION,
     FilterConfig,
     compute_domain_stats,
+    project_corpus,
     removal_counts,
     roundtrip_filter,
     score_filter,
@@ -60,13 +61,11 @@ from .translate import (
     FileTranslator,
     PhraseTableModel,
     PhraseTableTranslator,
-    ProjectionRejected,
     TranslationResult,
     Translator,
     check_alignment,
     load_phrase_table,
     load_translations,
-    project_annotations,
     save_translations,
 )
 
@@ -223,7 +222,8 @@ def load_pipeline_config(
 ) -> PipelineConfig:
     """Read a JSON config; optional arguments override file values.
 
-    Relative paths inside the file are resolved against its directory.
+    Relative paths inside the file are resolved against its directory.  A
+    ConfigError names the file.
     """
     path = Path(path)
     try:
@@ -240,8 +240,10 @@ def load_pipeline_config(
         return parse(PipelineConfig, obj, "config", base)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
-    except (FormatError, ValueError) as exc:
+    except FormatError as exc:  # names the file already
         raise ConfigError(str(exc)) from exc
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 # --- run state and reports ---------------------------------------------------
@@ -259,19 +261,11 @@ class StageReport:
 
 @dataclass
 class PipelineResult:
-    corpus: list[Utterance]
-    crf: CrfModel | None
-    maxent: MaxEntModel | None
-    semer_report: SemerReport | None
-    stage_reports: list[StageReport]
-
-
-@dataclass
-class _State:
-    """What the stages read (see `_READS`), pass on and make."""
+    """The state of a run: what the stages read (see `_READS`), the corpus
+    they pass on, what they make, and a report per stage that ran."""
 
     source: list[Utterance] = field(default_factory=list)
-    working: list[Utterance] = field(default_factory=list)
+    corpus: list[Utterance] = field(default_factory=list)
     translations: dict[str, TranslationResult] = field(default_factory=dict)
     test: list[Utterance] = field(default_factory=list)
     catalogs: dict[str, Catalog] = field(default_factory=dict)
@@ -281,6 +275,7 @@ class _State:
     crf: CrfModel | None = None
     maxent: MaxEntModel | None = None
     semer_report: SemerReport | None = None
+    stage_reports: list[StageReport] = field(default_factory=list)
 
 
 def _write_removed(path: Path, removed: Sequence[tuple[str, str]]) -> None:
@@ -356,49 +351,42 @@ def _build_translator(t: TranslationConfig, phrase_table: str | None,
 # --- stages -------------------------------------------------------------------
 
 
-def _stage_translate(config: PipelineConfig, state: _State, out: Path):
+def _stage_translate(config: PipelineConfig, state: PipelineResult, out: Path):
     results: dict[str, TranslationResult] = {}
     removed = []
-    for u in state.working:
+    for u in state.corpus:
         result = state.forward.translate(u.tokens, u.id)
         if result is None:
             removed.append((u.id, NO_TRANSLATION))
         else:
             results[u.id] = result
     state.translations = results
-    state.working = [u for u in state.working if u.id in results]
+    state.corpus = [u for u in state.corpus if u.id in results]
     save_translations(
         {uid: results[uid] for uid in sorted(results)}, out / "translations.tsv"
     )
     return removed
 
 
-def _stage_project(config: PipelineConfig, state: _State, out: Path):
-    kept, removed = [], []
-    for u in state.working:
-        result = state.translations.get(u.id)
-        if result is None:
-            removed.append((u.id, NO_TRANSLATION))
-            continue
-        try:
-            kept.append(project_annotations(u, result, config.target_language))
-        except ProjectionRejected as exc:
-            removed.append((u.id, exc.reason))
-    state.working = kept
-    save_corpus(kept, out / "corpus_projected.tsv")
-    _write_removed(out / "removed_project.tsv", removed)
-    return removed
+def _stage_project(config: PipelineConfig, state: PipelineResult, out: Path):
+    outcome = project_corpus(
+        state.corpus, FileTranslator(state.translations), config.target_language
+    )
+    state.corpus = outcome.kept
+    save_corpus(outcome.kept, out / "corpus_projected.tsv")
+    _write_removed(out / "removed_project.tsv", outcome.removed)
+    return outcome.removed
 
 
-def _stage_filter_semantic(config: PipelineConfig, state: _State, out: Path):
+def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: Path):
     crf = None  # only the INTENT_SLOTS mode reads source slots
     if config.filter.mode == MODE_INTENT_SLOTS:
         crf = train_slot_tagger(state.source, config.training, state.source_catalogs,
                                 "CRF slot tagger (stage filter-semantic)")
     maxent = train_intent_classifier(state.source, config.training, state.source_catalogs,
                                      "MaxEnt intent classifier (stage filter-semantic)")
-    working_ids = {u.id for u in state.working}
-    survivors = [u for u in state.source if u.id in working_ids]
+    corpus_ids = {u.id for u in state.corpus}
+    survivors = [u for u in state.source if u.id in corpus_ids]
     outcome = roundtrip_filter(
         survivors,
         FileTranslator(state.translations),
@@ -407,49 +395,49 @@ def _stage_filter_semantic(config: PipelineConfig, state: _State, out: Path):
         config.filter,
         target_language=config.target_language,
     )
-    state.working = outcome.kept
+    state.corpus = outcome.kept
     save_corpus(outcome.kept, out / "corpus_semantic.tsv")
     _write_removed(out / "removed_semantic.tsv", outcome.removed)
     return outcome.removed
 
 
-def _stage_filter_score(config: PipelineConfig, state: _State, out: Path):
-    stats = compute_domain_stats(state.working, state.translations)
+def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path):
+    stats = compute_domain_stats(state.corpus, state.translations)
     write_lines(out / "score_stats.tsv", ["domain\tmean\tstdev\tcount"] + [
         "%s\t%r\t%r\t%d" % (domain, st.mean, st.stdev, st.count)
         for domain, st in sorted(stats.items())
     ])
     outcome = score_filter(
-        state.working, state.translations, stats, config.filter.score_multiplier
+        state.corpus, state.translations, stats, config.filter.score_multiplier
     )
-    state.working = outcome.kept
+    state.corpus = outcome.kept
     save_corpus(outcome.kept, out / "corpus_scored.tsv")
     _write_removed(out / "removed_score.tsv", outcome.removed)
     return outcome.removed
 
 
-def _stage_postprocess(config: PipelineConfig, state: _State, out: Path):
+def _stage_postprocess(config: PipelineConfig, state: PipelineResult, out: Path):
     pp_config = replace(config.postprocess, seed=stage_seed(config.seed, "postprocess"))
     stats: dict[str, int] = {}
-    state.working = combined_postprocess(
-        state.working, state.source, state.catalogs, pp_config, stats
+    state.corpus = combined_postprocess(
+        state.corpus, state.source, state.catalogs, pp_config, stats
     )
-    save_corpus(state.working, out / "corpus_postprocessed.tsv")
+    save_corpus(state.corpus, out / "corpus_postprocessed.tsv")
     write_lines(out / "postprocess_stats.tsv", ("%s\t%d" % kv for kv in sorted(stats.items())))
     return []
 
 
-def _stage_train(config: PipelineConfig, state: _State, out: Path):
-    state.crf = train_slot_tagger(state.working, config.training, state.catalogs,
+def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
+    state.crf = train_slot_tagger(state.corpus, config.training, state.catalogs,
                                   "CRF slot tagger (stage train)")
-    state.maxent = train_intent_classifier(state.working, config.training, state.catalogs,
+    state.maxent = train_intent_classifier(state.corpus, config.training, state.catalogs,
                                            "MaxEnt intent classifier (stage train)")
     state.crf.save(out / "crf_model.json")
     state.maxent.save(out / "intent_model.json")
     return []
 
 
-def _stage_evaluate(config: PipelineConfig, state: _State, out: Path):
+def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
     hypotheses = {u.id: predict(state.crf, state.maxent, u.tokens) for u in state.test}
     report = semer(state.test, hypotheses)
     state.semer_report = report
@@ -465,7 +453,7 @@ def _stage_evaluate(config: PipelineConfig, state: _State, out: Path):
     return []
 
 
-_HANDLERS: dict[str, Callable[[PipelineConfig, _State, Path], list]] = {
+_HANDLERS: dict[str, Callable[[PipelineConfig, PipelineResult, Path], list]] = {
     "translate": _stage_translate,
     "project": _stage_project,
     "filter-semantic": _stage_filter_semantic,
@@ -476,7 +464,7 @@ _HANDLERS: dict[str, Callable[[PipelineConfig, _State, Path], list]] = {
 }
 
 
-def _setup(config: PipelineConfig) -> _State:
+def _setup(config: PipelineConfig) -> PipelineResult:
     """Load the inputs and saved models, and build the translators, that the
     stages read from files (see `_file_inputs`), always in the order below."""
     t, loaded = config.translation, {}
@@ -506,7 +494,7 @@ def _setup(config: PipelineConfig) -> _State:
         if what == "catalogs" and "postprocess" in config.stages:
             check_resample_catalogs(config.postprocess.resample_slots, loaded[what])
     crf, maxent = loaded.pop("models", (None, None))
-    return _State(working=list(loaded.get("source", [])), crf=crf, maxent=maxent, **loaded)
+    return PipelineResult(corpus=list(loaded.get("source", [])), crf=crf, maxent=maxent, **loaded)
 
 
 def _load_nonempty_corpus(path: str, language: str) -> list[Utterance]:
@@ -527,7 +515,8 @@ def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute the configured stages; see the module docstring.
+    """Execute the configured stages and return the state they ran on; see
+    the module docstring.
 
     Input problems raise ConfigError/FormatError before any stage runs and
     before anything is written; an error inside a stage raises StageFailure
@@ -540,33 +529,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "effective_config.json",
                 [json.dumps(config.effective(), sort_keys=True, indent=2)])
-    reports: list[StageReport] = []
     failed: tuple[str, BaseException] | None = None
     for stage in config.stages:
-        input_count = len(state.test) if stage == "evaluate" else len(state.working)
+        input_count = len(state.test) if stage == "evaluate" else len(state.corpus)
         started = time.perf_counter()
         try:
             removed = _HANDLERS[stage](config, state, out)
         except Exception as exc:  # noqa: BLE001 - reported as a stage failure
             failed = (stage, exc)
             break
-        reports.append(
+        state.stage_reports.append(
             StageReport(
                 stage=stage,
                 input_count=input_count,
-                output_count=len(state.test) if stage == "evaluate" else len(state.working),
+                output_count=len(state.test) if stage == "evaluate" else len(state.corpus),
                 removed=removal_counts(removed),
                 duration_seconds=time.perf_counter() - started,
                 fingerprint=fingerprint,
             )
         )
-    _write_stage_reports(out / "stage_reports.tsv", reports, failed, earlier_reports)
+    _write_stage_reports(out / "stage_reports.tsv", state.stage_reports, failed, earlier_reports)
     if failed is not None:
         raise StageFailure(failed[0], failed[1]) from failed[1]
-    return PipelineResult(
-        corpus=state.working,
-        crf=state.crf,
-        maxent=state.maxent,
-        semer_report=state.semer_report,
-        stage_reports=reports,
-    )
+    return state

@@ -51,13 +51,14 @@ class TestExitCodes:
                                          config_update={"seed": None})
         assert main(["pipeline", "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err == "error: seed must be an integer, got null\n"
+        assert err == "error: %s: seed must be an integer, got null\n" % config
 
     def test_fractional_beam_size_exits_one(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, n_train=4, n_test=2,
                                          config_update={"translation": {"beam_size": 1.7}})
         assert main(["pipeline", "--config", config]) == 1
-        assert capsys.readouterr().err == "error: beam_size must be an integer, got 1.7\n"
+        assert capsys.readouterr().err == \
+            "error: %s: beam_size must be an integer, got 1.7\n" % config
 
     @pytest.mark.parametrize("update", [
         {"translation": []},
@@ -70,6 +71,7 @@ class TestExitCodes:
         {"filter": {"confidence_threshold": True}},
         {"filter": {"score_multiplier": "1"}},
         {"postprocess": {"mix_probability": 1.5}},
+        {"catalogs": ["catalog_tgt_city.tsv", "catalog_tgt_city.tsv"]},
     ])
     def test_ill_typed_config_exits_one_before_any_stage(self, tmp_path, capsys, update):
         config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update=update)
@@ -208,6 +210,9 @@ MODEL_FILE_PROBES = [
     ("extra-name", _add_name("Q-ArtistName", " Extra"),
      {"crf_model.json": "bad BIO label 'Q-ArtistName'",
       "intent_model.json": "invalid intent: ' Extra'"}),
+    ("repeated-slot-type",
+     _edit_json(lambda obj: obj["gazetteers"].append(obj["gazetteers"][0])),
+     "gazetteers repeat a slot type"),
 ]
 
 

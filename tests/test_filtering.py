@@ -233,6 +233,29 @@ class TestRoundtripFilter:
         assert sum(out.stats.values()) == len(out.removed)
         assert out.stats == {INTENT_MISMATCH: 1, NO_TRANSLATION: 1}
 
+    def test_kept_and_removed_in_input_order(self):
+        # each of the four ways out, with a kept utterance after each
+        nlu = play_nlu()
+        corpus = [
+            utt("a", "Resume", "resume"),  # back as "forward"
+            utt("k1", "Play", "play queen", [("Artist", 1, 2)]),
+            utt("b", "Play", "play music"),  # no back-translation
+            utt("k2", "Play", "play abba", [("Artist", 1, 2)]),
+            utt("c", "Play", "play the queen", [("Artist", 2, 3)]),  # the slot is unaligned
+            utt("k3", "Forward", "forward"),
+            utt("d", "Resume", "stop"),  # no forward translation
+            utt("k4", "Play", "play queen", [("Artist", 1, 2)]),
+        ]
+        forward = MappingTranslator({"resume": "weiter", "play queen": "spiel queen",
+                                     "play music": "spiel musik", "play abba": "spiel abba",
+                                     "play the queen": "spiel", "forward": "vor"})
+        backward = MappingTranslator({"weiter": "forward", "spiel queen": "play queen",
+                                      "spiel abba": "play abba", "vor": "forward"})
+        out = roundtrip_filter(corpus, forward, backward, nlu, FilterConfig())
+        assert [u.id for u in out.kept] == ["k1", "k2", "k3", "k4"]
+        assert out.removed == [("a", INTENT_MISMATCH), ("b", NO_TRANSLATION),
+                               ("c", UNALIGNED_SLOT), ("d", NO_TRANSLATION)]
+
     def test_stricter_mode_keeps_subset(self):
         nlu = play_nlu()
         corpus = [

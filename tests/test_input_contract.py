@@ -2,11 +2,11 @@
 config and the two model files.
 
 Whatever the input holds, the command exits 0 or 1, never with a traceback.
-An exit 1 prints exactly one ``error:`` line, and when a model file is at
-fault that line starts with the file's path.  The method is that of Miller,
-Fredriksen & So (1990), "An Empirical Study of the Reliability of UNIX
-Utilities": feed a program random input and see whether it crashes.  Each
-case draws from its own `random.Random(seed)`, so a failure reproduces.
+An exit 1 prints exactly one ``error:`` line, and that line starts with the
+path of the file at fault.  The method is that of Miller, Fredriksen & So
+(1990), "An Empirical Study of the Reliability of UNIX Utilities": feed a
+program random input and see whether it crashes.  Each case draws from its
+own `random.Random(seed)`, so a failure reproduces.
 """
 
 import json
@@ -106,9 +106,7 @@ def test_mutated_input_exits_zero_or_one(tmp_path, capsys, trained_models,
     err = capsys.readouterr().err
     assert code in (0, 1) and "Traceback" not in err, err
     if code == 1:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        if name != "config.json":
-            assert err.startswith("error: %s: " % path), err
+        assert err.startswith("error: %s: " % path) and err.count("\n") == 1, err
 
 
 def test_value_nested_near_the_decoders_limit(tmp_path, capsys):
@@ -126,4 +124,4 @@ def test_value_nested_near_the_decoders_limit(tmp_path, capsys):
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config)]) == 1, depth
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (depth, err)
+        assert err.startswith("error: %s: " % config) and err.count("\n") == 1, (depth, err)

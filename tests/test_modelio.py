@@ -123,3 +123,20 @@ class TestSharedCatalogs:
         with pytest.raises(FormatError, match="gazetteers must be") as info:
             _load_models(models)
         assert str(info.value).startswith(str(path))
+
+
+class TestGazetteerEntries:
+    @pytest.mark.parametrize("field, bad, reason", [
+        (0, [None], "tokens must be non-empty strings"),
+        (1, -1.0, "catalog weight must be a finite non-negative number"),
+    ], ids=["null-token", "negative-weight"])
+    def test_bad_entry_names_its_catalog_and_index(self, models, field, bad, reason):
+        path = models / "crf_model.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        slot_type, entries = obj["gazetteers"][-1]
+        entries[2][field] = bad
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            _load_models(models)
+        assert str(info.value) == "%s: gazetteers: catalog %r entry 2: %s" % (
+            path, slot_type, reason)

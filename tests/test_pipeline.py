@@ -148,12 +148,17 @@ class TestConfigValueTypes:
             ({"training": {"tolerance": float("nan")}}, "tolerance must be a number"),
             ({"translation": {"weights": [1, 1, float("-inf"), 1]}},
              "weights must be a list of 4 numbers"),
+            ({"training": {"l2": -0.5}}, "l2 must be non-negative"),
+            ({"training": {"max_iterations": -1}}, "max_iterations must be >= 0"),
+            ({"training": {"tolerance": 0}}, "tolerance > 0"),
+            ({"filter": {"slot_comparison": "VALUES"}}, "unknown slot comparison 'VALUES'"),
         ],
     )
     def test_rejected(self, tmp_path, update, message):
         config_path = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update=update)
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message) as info:
             load_pipeline_config(config_path)
+        assert str(info.value).startswith(config_path + ": "), info.value
 
     def test_numbers_accepted(self, tmp_path):
         config_path = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
