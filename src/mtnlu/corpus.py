@@ -18,7 +18,6 @@ every text file but the model files is written by `write_lines`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import io
 import itertools

@@ -15,15 +15,13 @@ Two independent mechanisms:
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import SlotSpan, Utterance
 from .errors import ConfigError
 from .nlu import CrfModel, MaxEntModel, intent_posteriors, tag_slots
 from .translate import (
-    OVERLAP,
-    UNALIGNED_SLOT,
     ProjectionRejected,
     TranslationResult,
     Translator,

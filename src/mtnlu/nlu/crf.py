@@ -139,7 +139,9 @@ class CrfModel:
 
 
 class _Design:
-    """Sparse feature matrix and gold label counts for a corpus.
+    """Sparse feature matrix and gold label counts of (tokens, BIO labels)
+    pairs, with the features of `feature_index` (`grow` as in
+    `modelio.feature_ids`).
 
     Sequences are grouped by length, and the rows of the feature matrix run
     group by group, time-major within a group: the emission scores of a
@@ -147,8 +149,20 @@ class _Design:
     so the recursions step over contiguous (N, L) slices.
     """
 
-    def __init__(self, sequences, n_features: int, n_labels: int):
-        # sequences: list of (list of per-position feature-id arrays, label ids)
+    def __init__(self, pairs, labels: Sequence[str], feature_index: dict[str, int],
+                 gazetteers: Gazetteers, grow: bool = False):
+        label_index = {lab: i for i, lab in enumerate(labels)}
+        sequences = []  # (per-position feature-id arrays, label ids)
+        for tokens, tags in pairs:
+            if len(tokens) != len(tags):
+                raise ValueError("token/label length mismatch")
+            try:
+                label_ids = [label_index[lab] for lab in tags]
+            except KeyError as exc:
+                raise ValueError("label %s not in model label set" % exc) from None
+            sequences.append(([feature_ids(feats, feature_index, grow)
+                               for feats in sequence_features(tokens, gazetteers)], label_ids))
+        n_features, n_labels = len(feature_index), len(labels)
         by_length: dict[int, list[int]] = {}
         for idx, (fid_lists, _) in enumerate(sequences):
             by_length.setdefault(len(fid_lists), []).append(idx)
@@ -272,27 +286,13 @@ def _log_forward_backward(E: np.ndarray, transitions: np.ndarray):
     return log_z, node, pair
 
 
-def _design_for(model: CrfModel, corpus) -> _Design:
-    label_index = {lab: i for i, lab in enumerate(model.labels)}
-    sequences = []
-    for tokens, labels in corpus:
-        if len(tokens) != len(labels):
-            raise ValueError("token/label length mismatch")
-        try:
-            label_ids = [label_index[lab] for lab in labels]
-        except KeyError as exc:
-            raise ValueError("label %s not in model label set" % exc) from None
-        sequences.append((model.feature_ids(tokens), label_ids))
-    return _Design(sequences, len(model.feature_index), len(model.labels))
-
-
 def crf_objective(model: CrfModel, corpus) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Regularized NLL of labeled sequences and its gradient.
 
     `corpus` holds (tokens, BIO labels) pairs.  Returns the objective value
     and gradients with the shapes of (emissions, transitions).
     """
-    design = _design_for(model, corpus)
+    design = _Design(corpus, model.labels, model.feature_index, model.gazetteers)
     value, g_em, g_tr = design.nll_and_grad(model.emissions, model.transitions, model.l2)
     return value, (g_em, g_tr)
 
@@ -347,15 +347,9 @@ def train_slot_tagger(
         raise ValueError("cannot train on an empty corpus")
     gazetteers = dict(gazetteers or {})
     labels = bio_labels(s.slot_type for u in corpus for s in u.slots)
-    label_index = {lab: i for i, lab in enumerate(labels)}
     feature_index: dict[str, int] = {}
-    sequences = [
-        ([feature_ids(feats, feature_index, grow=True)
-          for feats in sequence_features(u.tokens, gazetteers)],
-         [label_index[lab] for lab in bio_encode(u)])
-        for u in corpus
-    ]
-    design = _Design(sequences, len(feature_index), len(labels))
+    design = _Design([(u.tokens, bio_encode(u)) for u in corpus], labels, feature_index,
+                     gazetteers, grow=True)
     F, L = len(feature_index), len(labels)
 
     def fun_grad(x: np.ndarray):

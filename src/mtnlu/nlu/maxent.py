@@ -87,16 +87,25 @@ def _nll_and_grad(X, y: np.ndarray, weights: np.ndarray, l2: float):
     return value, grad
 
 
+def _design(pairs: Sequence[tuple[Sequence[str], str]], intents: Sequence[str],
+            feature_index: dict[str, int], gazetteers: Gazetteers, grow: bool = False):
+    """Design matrix X and intent ids y of (tokens, intent) pairs, with the
+    features of `feature_index` (`grow` as in `modelio.feature_ids`)."""
+    intent_index = {intent: i for i, intent in enumerate(intents)}
+    for _, intent in pairs:
+        if intent not in intent_index:
+            raise ValueError("intent %r not in model intent set" % intent)
+    rows = [feature_ids(intent_features(tokens, gazetteers), feature_index, grow)
+            for tokens, _ in pairs]
+    X = design_matrix(rows, len(feature_index))
+    return X, np.asarray([intent_index[intent] for _, intent in pairs], dtype=np.int64)
+
+
 def maxent_objective(
     model: MaxEntModel, corpus: Sequence[tuple[Sequence[str], str]]
 ) -> tuple[float, np.ndarray]:
     """Regularized NLL of (tokens, intent) pairs and its gradient."""
-    intent_index = {intent: i for i, intent in enumerate(model.intents)}
-    for _, intent in corpus:
-        if intent not in intent_index:
-            raise ValueError("intent %r not in model intent set" % intent)
-    X = design_matrix([model.feature_ids(t) for t, _ in corpus], len(model.feature_index))
-    y = np.asarray([intent_index[intent] for _, intent in corpus], dtype=np.int64)
+    X, y = _design(corpus, model.intents, model.feature_index, model.gazetteers)
     return _nll_and_grad(X, y, model.weights, model.l2)
 
 
@@ -112,16 +121,13 @@ def train_intent_classifier(
         raise ValueError("cannot train on an empty corpus")
     gazetteers = dict(gazetteers or {})
     intents = tuple(sorted({u.intent for u in corpus}))
-    intent_index = {intent: i for i, intent in enumerate(intents)}
     feature_index: dict[str, int] = {}
-    rows = [feature_ids(intent_features(u.tokens, gazetteers), feature_index, grow=True)
-            for u in corpus]
-    X = design_matrix(rows, len(feature_index))
-    y_arr = np.asarray([intent_index[u.intent] for u in corpus], dtype=np.int64)
+    X, y = _design([(u.tokens, u.intent) for u in corpus], intents, feature_index, gazetteers,
+                   grow=True)
     F, K = len(feature_index), len(intents)
 
     def fun_grad(x: np.ndarray):
-        value, grad = _nll_and_grad(X, y_arr, x.reshape(F, K), hyper.l2)
+        value, grad = _nll_and_grad(X, y, x.reshape(F, K), hyper.l2)
         return value, grad.ravel()
 
     result = minimize(fun_grad, np.zeros(F * K), hyper.max_iterations, hyper.tolerance, name)

@@ -69,38 +69,15 @@ from .translate import (
     save_translations,
 )
 
-STAGES = (
-    "translate",
-    "project",
-    "filter-semantic",
-    "filter-score",
-    "postprocess",
-    "train",
-    "evaluate",
-)
-
-# what each stage reads, and what a stage makes for the stages after it in
-# the same run; a run reads the rest from files (see `_file_inputs`)
-_READS = {
-    "translate": {"source", "forward"},
-    "project": {"source", "translations"},
-    "filter-semantic": {"source", "source_catalogs", "backward", "translations"},
-    "filter-score": {"source", "translations"},
-    "postprocess": {"source", "catalogs"},
-    "train": {"source", "catalogs"},
-    "evaluate": {"test", "models"},
-}
-_MAKES = {"translate": "translations", "train": "models"}
-
-
 def _file_inputs(stages: Sequence[str]) -> dict[str, list[str]]:
     """Each input that a run of `stages` reads from files, with the stages
     that read it: what they read less what an earlier stage makes."""
     inputs, made = {}, set()
     for stage in stages:
-        for what in _READS[stage] - made:
+        reads, makes, _ = _STAGES[stage]
+        for what in reads - made:
             inputs.setdefault(what, []).append(stage)
-        made.add(_MAKES.get(stage))
+        made.add(makes)
     return inputs
 
 
@@ -155,7 +132,7 @@ class PipelineConfig:
 
     out_dir: str
     seed: int = 0
-    stages: tuple[str, ...] = STAGES
+    stages: tuple[str, ...] = field(default_factory=lambda: STAGES)
     source_corpus: InputPath | None = None
     test_corpus: InputPath | None = None
     source_language: str = "src"
@@ -239,7 +216,7 @@ def load_pipeline_config(
                 raise ConfigError("out_dir must be set in the config or with --out")
         return parse(PipelineConfig, obj, "config", base)
     except OSError as exc:
-        raise ConfigError("cannot read config: %s" % exc) from exc
+        raise ConfigError("%s: cannot read config: %s" % (path, exc.strerror)) from exc
     except FormatError as exc:  # names the file already
         raise ConfigError(str(exc)) from exc
     except (ConfigError, ValueError) as exc:
@@ -261,7 +238,7 @@ class StageReport:
 
 @dataclass
 class PipelineResult:
-    """The state of a run: what the stages read (see `_READS`), the corpus
+    """The state of a run: what the stages read (see `_STAGES`), the corpus
     they pass on, what they make, and a report per stage that ran."""
 
     source: list[Utterance] = field(default_factory=list)
@@ -453,15 +430,20 @@ def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
     return []
 
 
-_HANDLERS: dict[str, Callable[[PipelineConfig, PipelineResult, Path], list]] = {
-    "translate": _stage_translate,
-    "project": _stage_project,
-    "filter-semantic": _stage_filter_semantic,
-    "filter-score": _stage_filter_score,
-    "postprocess": _stage_postprocess,
-    "train": _stage_train,
-    "evaluate": _stage_evaluate,
+# Each stage in run order: what it reads, what it makes for the stages after
+# it in the same run (a run reads the rest from files, see `_file_inputs`),
+# and its handler.
+_STAGES: dict[str, tuple[set[str], str | None, Callable[..., list]]] = {
+    "translate": ({"source", "forward"}, "translations", _stage_translate),
+    "project": ({"source", "translations"}, None, _stage_project),
+    "filter-semantic": ({"source", "source_catalogs", "backward", "translations"}, None,
+                        _stage_filter_semantic),
+    "filter-score": ({"source", "translations"}, None, _stage_filter_score),
+    "postprocess": ({"source", "catalogs"}, None, _stage_postprocess),
+    "train": ({"source", "catalogs"}, "models", _stage_train),
+    "evaluate": ({"test", "models"}, None, _stage_evaluate),
 }
+STAGES = tuple(_STAGES)
 
 
 def _setup(config: PipelineConfig) -> PipelineResult:
@@ -534,7 +516,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         input_count = len(state.test) if stage == "evaluate" else len(state.corpus)
         started = time.perf_counter()
         try:
-            removed = _HANDLERS[stage](config, state, out)
+            removed = _STAGES[stage][2](config, state, out)
         except Exception as exc:  # noqa: BLE001 - reported as a stage failure
             failed = (stage, exc)
             break

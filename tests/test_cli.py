@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -45,6 +46,14 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("name, errno_", [("nope.json", errno.ENOENT), (".", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_unreadable_config_line_names_it(self, tmp_path, capsys, name, errno_):
+        config = str(tmp_path / name)
+        assert main(["pipeline", "--config", config]) == 1
+        assert capsys.readouterr().err == \
+            "error: %s: cannot read config: %s\n" % (config, os.strerror(errno_))
 
     def test_null_seed_exits_one(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, n_train=4, n_test=2,

@@ -226,6 +226,34 @@ class TestScaledForwardBackward:
         for g, ref in zip(grads, ref_grads):
             assert np.max(np.abs(g - ref)) <= 1e-6
 
+    def test_fallback_when_only_the_backward_pass_overflows(self, monkeypatch):
+        # one feature per token, so these rows are the emission scores; every
+        # forward scaler is a normal float, but two near 1e-221 and 1e-231
+        # divide the backward values past the float range
+        tokens = ("a", "b", "c", "d", "e")
+        emissions = np.array([[-745, -460, -91], [-109, 773, -575], [-52, -87, 370],
+                              [-105, -126, -9], [-208, 248, 248]], dtype=float)
+        transitions = np.array([[-392, 383, 148], [-53, 440, 578], [-345, -162, 48]],
+                               dtype=float)
+        model = CrfModel(bio_labels(["X"]), {"w0=" + t: i for i, t in enumerate(tokens)},
+                         emissions, transitions)
+        A = np.exp(transitions - transitions.max())
+        psi = np.exp(emissions - emissions.max(axis=1, keepdims=True))
+        scales, a = [], psi[0]
+        for t in range(len(tokens)):
+            a = psi[0] if t == 0 else (a @ A) * psi[t]
+            scales.append(a.sum())
+            a = a / scales[-1]
+        assert min(scales) >= np.finfo(float).tiny
+        corpus = [(tokens, ("O", "B-X", "I-X", "O", "B-X"))]
+        (value, grads), (ref_value, ref_grads), fell_back = objective_both_ways(
+            model, corpus, monkeypatch
+        )
+        assert fell_back == [True]
+        assert math.isfinite(value) and value == ref_value
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
 
 class TestViterbi:
     def test_matches_exhaustive_search(self):

@@ -2,7 +2,9 @@
 (see `mtnlu.corpus`), so each has one rule for encoding, line ends and bad
 input.  This test finds every call that touches a file in the source, and
 every `global` statement: what one call leaves for the next is passed as an
-argument, not kept in module state."""
+argument, not kept in module state.  It also finds every imported name that
+a module never uses; no linter is required to run the tests, so this is
+the lint for unused imports."""
 
 import ast
 from pathlib import Path
@@ -59,3 +61,26 @@ def test_no_function_rebinds_a_module_global():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def unused_imports() -> list[tuple[str, str]]:
+    """(module, name) of each name a module imports and never uses; the
+    `__init__.py` modules are left out, since they import to re-export."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [(path.relative_to(SRC).as_posix(), name)
+                  for name in imported if name not in used]
+    return found
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []

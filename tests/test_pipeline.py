@@ -17,7 +17,8 @@ import toytask
 from mtnlu.corpus import load_catalogs, load_corpus
 from mtnlu import pipeline
 from mtnlu.errors import ConfigError
-from mtnlu.filtering import FilterConfig, roundtrip_filter
+from mtnlu.cli import main
+from mtnlu.filtering import INTENT_MISMATCH, NO_TRANSLATION, FilterConfig, roundtrip_filter
 from mtnlu.nlu import TrainingConfig, train_slot_tagger
 from mtnlu.postprocess import PostprocessConfig
 from mtnlu.pipeline import (
@@ -714,6 +715,46 @@ def test_convergence_warnings_name_their_stage(tmp_path, caplog):
         "CRF slot tagger (stage train)",
         "MaxEnt intent classifier (stage train)",
     ]
+
+
+def test_semantic_removals_keep_source_order_with_and_without_project(tmp_path):
+    # the backward file misses utterances 1, 6, 11, ... and flips the intent
+    # carrier of 3, 8, 13, ..., so the removal reasons alternate; the forward
+    # file misses 4, 9, 14, ..., which the filter alone removes before it
+    # translates back, and which the project stage removes in the other run
+    config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10, config_update={
+        "translation": {"forward_phrase_table": None, "backward_phrase_table": None,
+                        "forward_translations": "forward.tsv",
+                        "backward_translations": "backward.tsv"}})
+    source = load_corpus(tmp_path / "train.tsv")
+    forward = toytask.forward_results(source)[0]
+    save_translations({uid: forward[uid] for i, uid in enumerate(forward) if i % 5 != 4},
+                      tmp_path / "forward.tsv")
+    backward = {}
+    for i, u in enumerate(source):
+        tokens = list(u.tokens)
+        if i % 5 == 1:
+            continue
+        if i % 5 == 3:
+            carrier = toytask.INTENT_CARRIER[u.intent]
+            tokens[tokens.index(carrier)] = toytask.CARRIER_SWAP[carrier]
+        backward[u.id] = dataclasses.replace(toytask.word_for_word_result(u.id, tokens),
+                                             target_tokens=tuple(tokens))
+    save_translations(backward, tmp_path / "backward.tsv")
+    position = {u.id: i for i, u in enumerate(source)}
+    for out, argv in (("alone", ["filter", "--kind", "semantic"]),
+                      ("projected", ["pipeline", "--stages", "project,filter-semantic"])):
+        assert main(argv + ["--config", config_path, "--out", str(tmp_path / out)]) == 0
+        removed = [line.split("\t") for line in
+                   (tmp_path / out / "removed_semantic.tsv").read_text().splitlines()]
+        indices = [position[uid] for uid, _ in removed]
+        assert indices == sorted(indices)
+        reasons = [reason for _, reason in removed]
+        assert set(reasons) == {NO_TRANSLATION, INTENT_MISMATCH}
+        assert sum(a != b for a, b in zip(reasons, reasons[1:])) >= 2  # interleaved
+    assert (tmp_path / "alone" / "corpus_semantic.tsv").read_bytes() == \
+        (tmp_path / "projected" / "corpus_semantic.tsv").read_bytes()
+
 
 class TestSourceSlotTagger:
     """filter-semantic trains a source slot tagger only for the filter mode
