@@ -258,9 +258,11 @@ def read_records(path, parse: Callable, widths: tuple[int, ...], sep: str = "\t"
 
 
 def number(text: str, what: str, kind: Callable = float):
-    """`kind(text)`; text it cannot read, or a float that is not finite, is a
-    ValueError ``bad <what> '<text>'``."""
+    """`kind(text)`; text that is not ASCII, holds `_` or `kind` cannot read,
+    or a float that is not finite, is a ValueError ``bad <what> '<text>'``."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = kind(text)
     except ValueError:
         raise ValueError("bad %s %r" % (what, text)) from None
@@ -329,10 +331,6 @@ class CatalogEntry:
             _check_token(t)
         if not 0 <= self.weight <= sys.float_info.max:
             raise ValueError("catalog weight must be a finite non-negative number")
-
-    @property
-    def value(self) -> str:
-        return " ".join(self.tokens)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ Two independent mechanisms:
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import SlotSpan, Utterance
 from .errors import ConfigError
@@ -39,6 +40,7 @@ SLOT_COMPARISONS = (SLOTS_TYPES_ONLY, SLOTS_TYPES_AND_VALUES)
 
 # Removal reasons recorded in FilterOutcome.removed.
 NO_TRANSLATION = "NO_TRANSLATION"
+NO_BACK_TRANSLATION = "NO_BACK_TRANSLATION"
 INTENT_MISMATCH = "INTENT_MISMATCH"
 SLOT_MISMATCH = "SLOT_MISMATCH"
 LOW_CONFIDENCE = "LOW_CONFIDENCE"
@@ -79,15 +81,8 @@ class FilterOutcome:
 
     @property
     def stats(self) -> dict[str, int]:
-        return removal_counts(self.removed)
-
-
-def removal_counts(removed: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Number of removals per reason, in reason order."""
-    counts: dict[str, int] = {}
-    for _, reason in removed:
-        counts[reason] = counts.get(reason, 0) + 1
-    return dict(sorted(counts.items()))
+        """Number of removals per reason, in reason order."""
+        return dict(sorted(Counter(reason for _, reason in self.removed).items()))
 
 
 def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> dict:
@@ -100,6 +95,19 @@ def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> dict:
     return counts
 
 
+def translated(corpus: Iterable[Utterance], translator: Translator, removed: list,
+               reason: str = NO_TRANSLATION) -> Iterator[tuple[Utterance, TranslationResult]]:
+    """Each utterance of `corpus` with its translation, in input order; one
+    that `translator` cannot translate is appended to `removed` as
+    (id, `reason`) instead."""
+    for u in corpus:
+        result = translator.translate(u.tokens, u.id)
+        if result is None:
+            removed.append((u.id, reason))
+        else:
+            yield u, result
+
+
 def project_corpus(
     corpus: Sequence[Utterance], forward: Translator, target_language: str = ""
 ) -> FilterOutcome:
@@ -109,11 +117,7 @@ def project_corpus(
     rejection's reason; the kept utterances are the projected targets."""
     kept: list[Utterance] = []
     removed: list[tuple[str, str]] = []
-    for u in corpus:
-        result = forward.translate(u.tokens, u.id)
-        if result is None:
-            removed.append((u.id, NO_TRANSLATION))
-            continue
+    for u, result in translated(corpus, forward, removed):
         try:
             kept.append(project_annotations(u, result, target_language))
         except ProjectionRejected as rejection:
@@ -136,7 +140,7 @@ def roundtrip_filter(
     NLU on the back-translation and on the source utterance, and keep the
     projection only when the two NLU readings agree (see FilterConfig for the
     agreement criterion).  A missing back-translation removes the utterance
-    with NO_TRANSLATION.  Removals are listed in input order.  The source
+    with NO_BACK_TRANSLATION.  Removals are listed in input order.  The source
     utterance of a projection is found by its id, so ids must be unique, as
     `load_corpus` makes them.  The slot tagger of `source_nlu` is read only
     in the INTENT_SLOTS mode, and may be None in the others.
@@ -148,12 +152,9 @@ def roundtrip_filter(
     position = {u.id: i for i, u in enumerate(source_corpus)}
     kept: list[Utterance] = []
     removed = projection.removed
-    for projected in projection.kept:
+    for projected, back in translated(projection.kept, backward, removed,
+                                      NO_BACK_TRANSLATION):
         u = source_corpus[position[projected.id]]
-        back = backward.translate(projected.tokens, u.id)
-        if back is None:
-            removed.append((u.id, NO_TRANSLATION))
-            continue
         if config.use_gold_labels:
             ref_intent, ref_slots = u.intent, u.slots
         else:

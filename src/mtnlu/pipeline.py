@@ -39,13 +39,13 @@ from .corpus import (
 from .errors import ConfigError, FormatError, MtnluError
 from .filtering import (
     MODE_INTENT_SLOTS,
-    NO_TRANSLATION,
     FilterConfig,
+    FilterOutcome,
     compute_domain_stats,
     project_corpus,
-    removal_counts,
     roundtrip_filter,
     score_filter,
+    translated,
 )
 from .nlu import (
     CrfModel,
@@ -74,7 +74,7 @@ def _file_inputs(stages: Sequence[str]) -> dict[str, list[str]]:
     that read it: what they read less what an earlier stage makes."""
     inputs, made = {}, set()
     for stage in stages:
-        reads, makes, _ = _STAGES[stage]
+        reads, makes = _STAGES[stage][:2]
         for what in reads - made:
             inputs.setdefault(what, []).append(stage)
         made.add(makes)
@@ -117,6 +117,12 @@ class TranslationConfig:
                 raise ConfigError(
                     "%s: give either a translations file or a phrase table, not both" % name
                 )
+        if self.max_jump < 0:
+            raise ConfigError("max_jump must be >= 0, got %d" % self.max_jump)
+        if self.beam_size < 1:
+            raise ConfigError("beam_size must be >= 1, got %d" % self.beam_size)
+        if not self.lm_alpha > 0:
+            raise ConfigError("lm_alpha must be positive, got %r" % self.lm_alpha)
 
 
 @dataclass(frozen=True)
@@ -255,10 +261,6 @@ class PipelineResult:
     stage_reports: list[StageReport] = field(default_factory=list)
 
 
-def _write_removed(path: Path, removed: Sequence[tuple[str, str]]) -> None:
-    write_lines(path, ("%s\t%s" % r for r in removed))
-
-
 def format_removed(counts: Mapping[str, int]) -> str:
     """Removal counts as `reason=n,...` in reason order, or "-" for none."""
     if not counts:
@@ -329,30 +331,19 @@ def _build_translator(t: TranslationConfig, phrase_table: str | None,
 
 
 def _stage_translate(config: PipelineConfig, state: PipelineResult, out: Path):
-    results: dict[str, TranslationResult] = {}
-    removed = []
-    for u in state.corpus:
-        result = state.forward.translate(u.tokens, u.id)
-        if result is None:
-            removed.append((u.id, NO_TRANSLATION))
-        else:
-            results[u.id] = result
-    state.translations = results
-    state.corpus = [u for u in state.corpus if u.id in results]
+    removed: list[tuple[str, str]] = []
+    pairs = list(translated(state.corpus, state.forward, removed))
+    state.translations = {u.id: result for u, result in pairs}
     save_translations(
-        {uid: results[uid] for uid in sorted(results)}, out / "translations.tsv"
+        dict(sorted(state.translations.items())), out / "translations.tsv"
     )
-    return removed
+    return FilterOutcome([u for u, _ in pairs], removed)
 
 
 def _stage_project(config: PipelineConfig, state: PipelineResult, out: Path):
-    outcome = project_corpus(
+    return project_corpus(
         state.corpus, FileTranslator(state.translations), config.target_language
     )
-    state.corpus = outcome.kept
-    save_corpus(outcome.kept, out / "corpus_projected.tsv")
-    _write_removed(out / "removed_project.tsv", outcome.removed)
-    return outcome.removed
 
 
 def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -364,7 +355,7 @@ def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: P
                                      "MaxEnt intent classifier (stage filter-semantic)")
     corpus_ids = {u.id for u in state.corpus}
     survivors = [u for u in state.source if u.id in corpus_ids]
-    outcome = roundtrip_filter(
+    return roundtrip_filter(
         survivors,
         FileTranslator(state.translations),
         state.backward,
@@ -372,10 +363,6 @@ def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: P
         config.filter,
         target_language=config.target_language,
     )
-    state.corpus = outcome.kept
-    save_corpus(outcome.kept, out / "corpus_semantic.tsv")
-    _write_removed(out / "removed_semantic.tsv", outcome.removed)
-    return outcome.removed
 
 
 def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -384,24 +371,19 @@ def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path
         "%s\t%r\t%r\t%d" % (domain, st.mean, st.stdev, st.count)
         for domain, st in sorted(stats.items())
     ])
-    outcome = score_filter(
+    return score_filter(
         state.corpus, state.translations, stats, config.filter.score_multiplier
     )
-    state.corpus = outcome.kept
-    save_corpus(outcome.kept, out / "corpus_scored.tsv")
-    _write_removed(out / "removed_score.tsv", outcome.removed)
-    return outcome.removed
 
 
 def _stage_postprocess(config: PipelineConfig, state: PipelineResult, out: Path):
     pp_config = replace(config.postprocess, seed=stage_seed(config.seed, "postprocess"))
     stats: dict[str, int] = {}
-    state.corpus = combined_postprocess(
+    corpus = combined_postprocess(
         state.corpus, state.source, state.catalogs, pp_config, stats
     )
-    save_corpus(state.corpus, out / "corpus_postprocessed.tsv")
     write_lines(out / "postprocess_stats.tsv", ("%s\t%d" % kv for kv in sorted(stats.items())))
-    return []
+    return FilterOutcome(corpus, [])
 
 
 def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -411,7 +393,6 @@ def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
                                            "MaxEnt intent classifier (stage train)")
     state.crf.save(out / "crf_model.json")
     state.maxent.save(out / "intent_model.json")
-    return []
 
 
 def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -427,21 +408,26 @@ def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
         )
         lines.append("%s\t%.6f" % (rendered, hyp.intent_confidence))
     write_lines(out / "hypotheses.tsv", lines)
-    return []
 
 
 # Each stage in run order: what it reads, what it makes for the stages after
 # it in the same run (a run reads the rest from files, see `_file_inputs`),
-# and its handler.
-_STAGES: dict[str, tuple[set[str], str | None, Callable[..., list]]] = {
-    "translate": ({"source", "forward"}, "translations", _stage_translate),
-    "project": ({"source", "translations"}, None, _stage_project),
+# its handler, and the two files that `run_pipeline` writes the kept corpus
+# and the removals of the handler's FilterOutcome to (a handler that passes
+# no corpus on returns None).
+_STAGES: dict[str, tuple[set[str], str | None, Callable[..., FilterOutcome | None],
+                         tuple[str | None, str | None]]] = {
+    "translate": ({"source", "forward"}, "translations", _stage_translate, (None, None)),
+    "project": ({"source", "translations"}, None, _stage_project,
+                ("corpus_projected.tsv", "removed_project.tsv")),
     "filter-semantic": ({"source", "source_catalogs", "backward", "translations"}, None,
-                        _stage_filter_semantic),
-    "filter-score": ({"source", "translations"}, None, _stage_filter_score),
-    "postprocess": ({"source", "catalogs"}, None, _stage_postprocess),
-    "train": ({"source", "catalogs"}, "models", _stage_train),
-    "evaluate": ({"test", "models"}, None, _stage_evaluate),
+                        _stage_filter_semantic, ("corpus_semantic.tsv", "removed_semantic.tsv")),
+    "filter-score": ({"source", "translations"}, None, _stage_filter_score,
+                     ("corpus_scored.tsv", "removed_score.tsv")),
+    "postprocess": ({"source", "catalogs"}, None, _stage_postprocess,
+                    ("corpus_postprocessed.tsv", None)),
+    "train": ({"source", "catalogs"}, "models", _stage_train, (None, None)),
+    "evaluate": ({"test", "models"}, None, _stage_evaluate, (None, None)),
 }
 STAGES = tuple(_STAGES)
 
@@ -513,10 +499,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 [json.dumps(config.effective(), sort_keys=True, indent=2)])
     failed: tuple[str, BaseException] | None = None
     for stage in config.stages:
+        _, _, run, (corpus_file, removed_file) = _STAGES[stage]
         input_count = len(state.test) if stage == "evaluate" else len(state.corpus)
         started = time.perf_counter()
         try:
-            removed = _STAGES[stage][2](config, state, out)
+            outcome = run(config, state, out)
+            if outcome is not None:
+                state.corpus = outcome.kept
+                if corpus_file is not None:
+                    save_corpus(outcome.kept, out / corpus_file)
+                if removed_file is not None:
+                    write_lines(out / removed_file, ("%s\t%s" % r for r in outcome.removed))
         except Exception as exc:  # noqa: BLE001 - reported as a stage failure
             failed = (stage, exc)
             break
@@ -525,7 +518,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 stage=stage,
                 input_count=input_count,
                 output_count=len(state.test) if stage == "evaluate" else len(state.corpus),
-                removed=removal_counts(removed),
+                removed={} if outcome is None else outcome.stats,
                 duration_seconds=time.perf_counter() - started,
                 fingerprint=fingerprint,
             )

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import SlotSpan, Utterance, checked, data_lines, read_records, write_lines
+from .corpus import (SlotSpan, Utterance, checked, data_lines, number, read_records,
+                     write_lines)
 from .errors import FormatError
 from .nlu import NluHypothesis
 
@@ -158,7 +159,7 @@ def read_semer_report(path: str) -> SemerReport:
 
 
 def _parse_row(segment: str, name: str, *fields: str) -> tuple[str, str, SemerCounts]:
-    ref, ie, sub, dele, ins, errors = (int(x) for x in fields[:6])
+    ref, ie, sub, dele, ins, errors = (number(x, "count", int) for x in fields[:6])
     counts = SemerCounts(ref, ie, sub, dele, ins)
     if counts.errors != errors:
         raise ValueError("error total does not match its parts")

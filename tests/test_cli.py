@@ -452,6 +452,21 @@ class TestCompare:
         assert main(["compare", a, b]) == 1
         assert "different test sets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count, message", [
+        ("1_0", "bad count '1_0'"),
+        ("x", "bad count 'x'"),
+        ("-1", "reference_count must be >= 0"),
+    ], ids=["underscore", "letter", "negative"])
+    def test_bad_count_exits_one_naming_its_line(self, tmp_path, capsys, count, message):
+        a = write_report(tmp_path / "a.tsv", 10)
+        b = Path(write_report(tmp_path / "b.tsv", 10))
+        header, overall, rest = b.read_text(encoding="utf-8").split("\n", 2)
+        cells = overall.split("\t")
+        cells[2] = count  # the reference count
+        b.write_text("\n".join([header, "\t".join(cells), rest]), encoding="utf-8")
+        assert main(["compare", a, str(b)]) == 1
+        assert capsys.readouterr().err == "error: %s:2: %s\n" % (b, message)
+
 
 class TestSampleGrammar:
     def test_generates_requested_size(self, tmp_path, capsys):

@@ -269,6 +269,26 @@ def test_non_finite_number_names_file_and_line(tmp_path, loader, first, line, ba
     assert (err.value.path, err.value.line_no, err.value.message) == (path, 3, message)
 
 
+# (loader, first line, a line with a number that Python's int or float would
+# read, the message for it)
+NOT_ASCII_DIGITS = [
+    (load_catalog, "#slot_type=City", "berlin\t0_5", "bad weight '0_5'"),
+    (load_catalog, "#slot_type=City", "berlin\t\u0661\u0662", "bad weight '\u0661\u0662'"),
+    (load_translations, "# translations", "u1\tc\t0-0_1\t0\t0\t0\t0\t0",
+     "bad alignment pair '0-0_1'"),
+]
+
+
+@pytest.mark.parametrize("loader, first, bad, message", NOT_ASCII_DIGITS,
+                         ids=["weight-underscore", "weight-arabic-indic", "alignment-underscore"])
+def test_number_in_ascii_without_underscores(tmp_path, loader, first, bad, message):
+    path = tmp_path / "data.txt"
+    path.write_text("%s\n%s\n" % (first, bad), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert (err.value.path, err.value.line_no, err.value.message) == (path, 2, message)
+
+
 class TestCatalog:
     def test_byte_order_mark_before_the_header(self, tmp_path):
         path = tmp_path / "city.txt"

@@ -14,6 +14,7 @@ from mtnlu.filtering import (
     MODE_INTENT,
     MODE_INTENT_CONFIDENCE,
     MODE_INTENT_SLOTS,
+    NO_BACK_TRANSLATION,
     NO_TRANSLATION,
     SLOT_MISMATCH,
     SLOTS_TYPES_AND_VALUES,
@@ -127,7 +128,7 @@ class TestRoundtripFilter:
             [utt("u1", "Resume", "resume")],
             IdentityTranslator(), MappingTranslator({}), nlu, FilterConfig(),
         )
-        assert out.removed == [("u1", NO_TRANSLATION)]
+        assert out.removed == [("u1", NO_BACK_TRANSLATION)]
 
     def test_unaligned_slot_rejection_is_counted(self):
         nlu = play_nlu()
@@ -253,7 +254,7 @@ class TestRoundtripFilter:
                                       "spiel abba": "play abba", "vor": "forward"})
         out = roundtrip_filter(corpus, forward, backward, nlu, FilterConfig())
         assert [u.id for u in out.kept] == ["k1", "k2", "k3", "k4"]
-        assert out.removed == [("a", INTENT_MISMATCH), ("b", NO_TRANSLATION),
+        assert out.removed == [("a", INTENT_MISMATCH), ("b", NO_BACK_TRANSLATION),
                                ("c", UNALIGNED_SLOT), ("d", NO_TRANSLATION)]
 
     def test_stricter_mode_keeps_subset(self):

@@ -1,5 +1,6 @@
-"""What the CRF and MaxEnt models share: the numpy logsumexp and the catalog
-build that a model pair shares when it is loaded."""
+"""What the CRF and MaxEnt models share: the numpy logsumexp, the catalog
+build that a model pair shares when it is loaded, and the checks that a
+model file meets when it is loaded."""
 
 import json
 import shutil
@@ -140,3 +141,25 @@ class TestGazetteerEntries:
             _load_models(models)
         assert str(info.value) == "%s: gazetteers: catalog %r entry 2: %s" % (
             path, slot_type, reason)
+
+
+
+class TestModelChecks:
+    """The checks in the model constructors, each reached through a file."""
+
+    @pytest.mark.parametrize("name, key, edit, reason", [
+        ("crf_model.json", "labels", lambda labels: labels.remove("O"),
+         "label set must contain O"),
+        ("crf_model.json", "labels", lambda labels: labels.remove("I-City"),
+         "label set not BIO-closed for type 'City'"),
+        ("crf_model.json", "transitions", list.pop, "transitions shape mismatch"),
+        ("intent_model.json", "intents", list.clear, "intent set must be non-empty"),
+    ], ids=["labels-without-O", "labels-not-BIO-closed", "transitions-shape", "no-intents"])
+    def test_bad_model_names_its_file(self, models, name, key, edit, reason):
+        path = models / name
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj[key])
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            _load_models(models)
+        assert str(info.value) == "%s: %s" % (path, reason)

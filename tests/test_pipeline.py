@@ -18,7 +18,8 @@ from mtnlu.corpus import load_catalogs, load_corpus
 from mtnlu import pipeline
 from mtnlu.errors import ConfigError
 from mtnlu.cli import main
-from mtnlu.filtering import INTENT_MISMATCH, NO_TRANSLATION, FilterConfig, roundtrip_filter
+from mtnlu.filtering import (INTENT_MISMATCH, NO_BACK_TRANSLATION, NO_TRANSLATION, FilterConfig,
+                             roundtrip_filter)
 from mtnlu.nlu import TrainingConfig, train_slot_tagger
 from mtnlu.postprocess import PostprocessConfig
 from mtnlu.pipeline import (
@@ -153,6 +154,10 @@ class TestConfigValueTypes:
             ({"training": {"max_iterations": -1}}, "max_iterations must be >= 0"),
             ({"training": {"tolerance": 0}}, "tolerance > 0"),
             ({"filter": {"slot_comparison": "VALUES"}}, "unknown slot comparison 'VALUES'"),
+            ({"translation": {"max_jump": -3}}, "max_jump must be >= 0, got -3"),
+            ({"translation": {"beam_size": 0}}, "beam_size must be >= 1, got 0"),
+            ({"translation": {"lm_alpha": 0}}, "lm_alpha must be positive, got 0.0"),
+            ({"translation": {"lm_alpha": -1.0}}, "lm_alpha must be positive, got -1.0"),
         ],
     )
     def test_rejected(self, tmp_path, update, message):
@@ -742,15 +747,19 @@ def test_semantic_removals_keep_source_order_with_and_without_project(tmp_path):
                                              target_tokens=tuple(tokens))
     save_translations(backward, tmp_path / "backward.tsv")
     position = {u.id: i for i, u in enumerate(source)}
-    for out, argv in (("alone", ["filter", "--kind", "semantic"]),
-                      ("projected", ["pipeline", "--stages", "project,filter-semantic"])):
+    for out, argv, expected in (
+        ("alone", ["filter", "--kind", "semantic"],
+         {NO_TRANSLATION, NO_BACK_TRANSLATION, INTENT_MISMATCH}),
+        ("projected", ["pipeline", "--stages", "project,filter-semantic"],
+         {NO_BACK_TRANSLATION, INTENT_MISMATCH}),
+    ):
         assert main(argv + ["--config", config_path, "--out", str(tmp_path / out)]) == 0
         removed = [line.split("\t") for line in
                    (tmp_path / out / "removed_semantic.tsv").read_text().splitlines()]
         indices = [position[uid] for uid, _ in removed]
         assert indices == sorted(indices)
         reasons = [reason for _, reason in removed]
-        assert set(reasons) == {NO_TRANSLATION, INTENT_MISMATCH}
+        assert set(reasons) == expected
         assert sum(a != b for a, b in zip(reasons, reasons[1:])) >= 2  # interleaved
     assert (tmp_path / "alone" / "corpus_semantic.tsv").read_bytes() == \
         (tmp_path / "projected" / "corpus_semantic.tsv").read_bytes()
