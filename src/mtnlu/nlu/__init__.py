@@ -61,11 +61,11 @@ class NluHypothesis:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
-        if not (0.0 <= self.intent_confidence <= 1.0 + 1e-9):
+        if not (0.0 <= self.intent_confidence <= 1.0):
             raise ValueError("confidence must be in [0, 1]")
 
 
 def predict(crf: CrfModel, maxent: MaxEntModel, tokens: Sequence[str]) -> NluHypothesis:
     """Run both models on one token sequence."""
     intent, confidence = classify_intent(maxent, tokens)
-    return NluHypothesis(intent, min(confidence, 1.0), tag_slots(crf, tokens))
+    return NluHypothesis(intent, confidence, tag_slots(crf, tokens))

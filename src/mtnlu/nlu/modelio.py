@@ -62,7 +62,8 @@ _ENVELOPE = {"format": str, "version": int, "l2": NonNegative, "features": tuple
 
 def _catalogs_json(catalogs: Mapping[str, Catalog]) -> list:
     """`catalogs` as the ``gazetteers`` value of a model file."""
-    return [[t, [[e.tokens, e.weight] for e in catalogs[t].entries]] for t in sorted(catalogs)]
+    return [[t, [[list(e.tokens), e.weight] for e in catalogs[t].entries]]
+            for t in sorted(catalogs)]
 
 
 def save_model(model, path, fmt: str, keys: Iterable[str]) -> None:
@@ -82,15 +83,17 @@ def load_model(cls, path, fmt: str, keys: Mapping[str, object],
                catalogs: Mapping[str, Catalog] | None = None):
     """The `cls` model in the `fmt` file at `path`; `keys` maps the model's
     own keys to their annotations (see `corpus.parse`).  The second file of a
-    pair reuses the first's `catalogs` if it holds them: comparing the JSON
-    text tells ``true``, ``1`` and ``1.0`` apart."""
+    pair reuses the first's `catalogs` if it holds the same values.  A
+    ``true`` weight is not taken for ``1``; ``1`` and ``1.0``, or ``-0.0``
+    and ``0.0``, count as the same weight, as they give the same model."""
     obj = read_json(path)
     if not (isinstance(obj, dict) and obj.get("format") == fmt
             and type(obj.get("version")) is int and obj["version"] == 1):
         raise FormatError("not a version-1 %s file" % fmt, path=path)
     hints = {**_ENVELOPE, **keys}
-    shared = catalogs is not None and json.dumps(obj.get("gazetteers")) == json.dumps(
-        _catalogs_json(catalogs))
+    raw = obj.get("gazetteers")
+    shared = catalogs is not None and raw == _catalogs_json(catalogs) and not any(
+        type(weight) is bool for _, entries in raw for _, weight in entries)
     if shared:
         del hints["gazetteers"], obj["gazetteers"]
     values = checked(path, None, parse, hints, obj, fmt)

@@ -186,10 +186,14 @@ def _phrase_pair(src: str, tgt: str, score: str) -> tuple[tuple[str, ...], tuple
 # source positions (bitmask); expansions pick an uncovered contiguous span
 # whose distance from the previous phrase end is at most max_jump, and
 # that leaves the leftmost uncovered position within max_jump of its end.
-# States that agree on (coverage, previous end, last target token, target
-# length) are recombined keeping the higher-scoring one; ties prefer the
-# lexicographically smaller target sequence, which makes decoding a pure
-# function of the input.
+# Each expansion is scored once and kept only if it beats the hypothesis
+# already kept under its key.  Partial hypotheses are keyed by (coverage,
+# previous end, last target token, target length); complete ones, whose
+# score includes the `</s>` term, all share the key None in the last stack.
+# One ordering serves recombination and the beam: the higher score wins and
+# an exact tie prefers the lexicographically smaller target (on a full tie
+# the first one generated stays), which makes decoding a pure function of
+# the input.
 
 
 class _Hyp:
@@ -243,16 +247,9 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
     w_tm, w_lm, w_reord, w_wp = model.weights
     full = (1 << n) - 1
 
-    def better(a: _Hyp, b: _Hyp) -> bool:
-        # Is a better than b?  Higher score wins; ties prefer smaller target.
-        if a.score != b.score:
-            return a.score > b.score
-        return a.target < b.target
-
     start = _Hyp(0, 0, (), 0.0, 0.0, 0.0, 0.0, ())
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, BigramLM.BOS, 0)] = start
-    complete: _Hyp | None = None
 
     for covered in range(n):
         beam = sorted(
@@ -272,6 +269,8 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
                     gap = (~coverage & (coverage + 1)).bit_length() - 1
                     if abs(gap - j) > model.max_jump:
                         continue
+                stack = stacks[covered + j - i]
+                reord = hyp.reord - jump
                 for tgt, tm_score in opts:
                     lm_delta = 0.0
                     prev = last
@@ -280,33 +279,19 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
                         prev = w
                     tm = hyp.tm + tm_score
                     lm = hyp.lm + lm_delta
-                    reord = hyp.reord - jump
-                    target = hyp.target + tgt
-                    wp = -len(target)
-                    score = w_tm * tm + w_lm * lm + w_reord * reord + w_wp * wp
-                    new = _Hyp(
-                        coverage,
-                        j,
-                        target,
-                        tm,
-                        lm,
-                        reord,
-                        score,
-                        hyp.phrases + ((i, j, len(hyp.target), len(target), tm_score),),
-                    )
-                    if new.coverage == full:
-                        new.lm += model.lm.logprob(prev, BigramLM.EOS)
-                        new.score = (
-                            w_tm * new.tm + w_lm * new.lm + w_reord * new.reord + w_wp * wp
-                        )
-                        if complete is None or better(new, complete):
-                            complete = new
-                    else:
-                        key = (new.coverage, new.prev_end, prev, len(target))
-                        kept = stacks[bin(new.coverage).count("1")].get(key)
-                        if kept is None or better(new, kept):
-                            stacks[bin(new.coverage).count("1")][key] = new
+                    length = len(hyp.target) + len(tgt)
+                    key = (coverage, j, prev, length) if coverage != full else None
+                    if key is None:
+                        lm += model.lm.logprob(prev, BigramLM.EOS)
+                    score = w_tm * tm + w_lm * lm + w_reord * reord + w_wp * -length
+                    kept = stack.get(key)
+                    if (kept is None or score > kept.score
+                            or (score == kept.score and hyp.target + tgt < kept.target)):
+                        phrase = (i, j, len(hyp.target), length, tm_score)
+                        stack[key] = _Hyp(coverage, j, hyp.target + tgt, tm, lm, reord, score,
+                                          hyp.phrases + (phrase,))
 
+    complete = stacks[n].get(None)
     if complete is None:
         raise ValueError("no complete hypothesis for %r" % (tokens,))
 

@@ -467,6 +467,24 @@ class TestCompare:
         assert main(["compare", a, str(b)]) == 1
         assert capsys.readouterr().err == "error: %s:2: %s\n" % (b, message)
 
+    def test_unknown_segment_exits_one_naming_its_line(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.tsv", 10)
+        b = Path(write_report(tmp_path / "b.tsv", 10))
+        b.write_text(b.read_text(encoding="utf-8").replace("domain\t", "region\t"),
+                     encoding="utf-8")
+        assert main(["compare", a, str(b)]) == 1
+        assert capsys.readouterr().err == "error: %s:3: unknown segment 'region'\n" % b
+
+    def test_domain_sizes_that_differ_exit_one(self, tmp_path, capsys):
+        paths = []
+        for name, sizes in [("a.tsv", (6000, 4000)), ("b.tsv", (5000, 5000))]:
+            x, y = (SemerCounts(reference_count=size) for size in sizes)
+            write_semer_report(SemerReport(x + y, {"X": x, "Y": y}), str(tmp_path / name))
+            paths.append(str(tmp_path / name))
+        assert main(["compare", *paths]) == 1
+        assert capsys.readouterr().err == (
+            "error: reports describe different test sets (domain 'X' size)\n")
+
 
 class TestSampleGrammar:
     def test_generates_requested_size(self, tmp_path, capsys):

@@ -171,6 +171,19 @@ class TestRoundtripFilter:
         )
         assert with_values.removed == [("u1", SLOT_MISMATCH)]
 
+    def test_slot_values_compare_case_insensitively(self):
+        # the back translation differs from the source only in case
+        corpus = [utt("w%d" % i, "Weather", "weather in " + city, [("City", 2, 3)])
+                  for i, city in enumerate(["berlin", "paris"] * 10)]
+        nlu = train_nlu(corpus + [utt("r%d" % i, "Resume", "resume") for i in range(10)])
+        source = [utt("u1", "Weather", "weather in Berlin", [("City", 2, 3)])]
+        forward = MappingTranslator({"weather in Berlin": "wetter in Berlin"})
+        backward = MappingTranslator({"wetter in Berlin": "weather in berlin"})
+        out = roundtrip_filter(source, forward, backward, nlu, FilterConfig(
+            mode=MODE_INTENT_SLOTS, slot_comparison=SLOTS_TYPES_AND_VALUES, use_gold_labels=True,
+        ))
+        assert [u.id for u in out.kept] == ["u1"]
+
     def test_low_confidence_removal(self):
         # Back-translation "forward" leaves almost no posterior mass on the
         # reference intent Resume -> removed for low confidence, not mismatch.

@@ -87,8 +87,8 @@ def models(tmp_path, trained_models):
     return out
 
 
-def edit_intent_gazetteers(out, edit):
-    path = out / "intent_model.json"
+def edit_intent_gazetteers(out, edit, name="intent_model.json"):
+    path = out / name
     obj = json.loads(path.read_text(encoding="utf-8"))
     edit(obj["gazetteers"][0][1][0])  # the first [tokens, weight] entry
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -121,6 +121,14 @@ class TestSharedCatalogs:
     def test_true_weight_is_not_mistaken_for_one(self, models):
         # true == 1 == 1.0 in decoded JSON; the trained weights are 1.0
         path = edit_intent_gazetteers(models, lambda entry: entry.__setitem__(1, True))
+        with pytest.raises(FormatError, match="gazetteers must be") as info:
+            _load_models(models)
+        assert str(info.value).startswith(str(path))
+
+    def test_false_weight_is_not_mistaken_for_zero(self, models):
+        # false == 0 == 0.0 as well, once the slot tagger holds a 0.0 weight
+        edit_intent_gazetteers(models, lambda entry: entry.__setitem__(1, 0.0), "crf_model.json")
+        path = edit_intent_gazetteers(models, lambda entry: entry.__setitem__(1, False))
         with pytest.raises(FormatError, match="gazetteers must be") as info:
             _load_models(models)
         assert str(info.value).startswith(str(path))

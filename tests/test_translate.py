@@ -1,5 +1,6 @@
 """Decoder, score combination, projection, and translation files."""
 
+import hashlib
 import math
 import random
 
@@ -164,6 +165,72 @@ class TestDecode:
         a = decode(["wie", "geht", "es"], model)
         b = decode(["wie", "geht", "es"], model)
         assert a == b
+
+
+class TestDecodeTies:
+    """Known answers for the decoder's tie rule: the higher score wins, an
+    exact tie keeps the lexicographically smaller target, and on a full tie
+    the first hypothesis generated stays."""
+
+    def test_exact_tie_between_complete_translations(self):
+        model = PhraseTableModel.from_pairs(
+            [(("a",), ("y",), -1.0), (("a",), ("x",), -1.0)], weights=(1.0, 0.0, 0.0, 0.0)
+        )
+        assert decode(["a"], model).target_tokens == ("x",)
+
+    def test_recombination_tie_inside_a_stack(self):
+        # "y z" and "x z" meet under one key in the two-word stack
+        pairs = [(("a",), ("y",), -1.0), (("a",), ("x",), -1.0),
+                 (("b",), ("z",), -1.0), (("c",), ("w",), -1.0)]
+        model = PhraseTableModel.from_pairs(
+            pairs, weights=(1.0, 0.0, 0.0, 0.0), max_jump=0, beam_size=2
+        )
+        assert decode(["a", "b", "c"], model).target_tokens == ("x", "z", "w")
+
+    def test_full_tie_keeps_first_generated(self):
+        # the two-word phrase completes from the empty hypothesis, before
+        # the word-by-word derivation of the same target and score
+        pairs = [(("a",), ("x",), -1.0), (("b",), ("y",), -1.0), (("a", "b"), ("x", "y"), -2.0)]
+        model = PhraseTableModel.from_pairs(pairs, weights=(1.0, 0.0, 0.0, 0.0))
+        r = decode(["a", "b"], model)
+        assert r.target_tokens == ("x", "y")
+        assert r.alignment == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+
+    def test_tie_heavy_tables_decode_as_recorded(self):
+        # scores rounded to 1e-9 so that a last-bit difference in libm's
+        # log does not change the digest
+        rng = random.Random(21)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            sent, model = tie_heavy_case(rng)
+            r = decode(sent, model)
+            scores = r.scores.components() + (r.scores.weighted_total,)
+            rounded = [round(s, 9) + 0.0 for s in scores]  # + 0.0 turns -0.0 into 0.0
+            digest.update(repr((r.target_tokens, sorted(r.alignment), rounded)).encode())
+        assert digest.hexdigest() == (
+            "50da4856598785cf493a10b5dc8d3cc1ceecc597cbb5154b76d77bc63c2d87c1")
+
+
+_TIE_SCORES = (0.0, -0.5, -1.0, -1.5, -2.0)
+_TIE_WEIGHTS = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0),
+                (1.0, 0.5, 0.0, -0.5))
+
+
+def tie_heavy_case(rng):
+    """A random sentence and phrase table whose phrase scores come from a
+    five-value set, so that exact ties between hypotheses are common; the
+    beam holds one or two hypotheses, so pruning is exercised too."""
+    pairs = [
+        (tuple(rng.choice("abcd") for _ in range(rng.randint(1, 2))),
+         tuple(rng.choice("wxyz") for _ in range(rng.randint(1, 2))),
+         rng.choice(_TIE_SCORES))
+        for _ in range(rng.randint(1, 8))
+    ]
+    model = PhraseTableModel.from_pairs(
+        pairs, weights=rng.choice(_TIE_WEIGHTS), max_jump=rng.randint(0, 3),
+        beam_size=rng.randint(1, 2),
+    )
+    return [rng.choice("abcd") for _ in range(rng.randint(1, 5))], model
 
 
 def swapped_bigram_pairs():
