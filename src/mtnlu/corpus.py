@@ -54,7 +54,7 @@ def check_name(name: str, what: str) -> None:
         raise ValueError("invalid %s: %r" % (what, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotSpan:
     """A labeled token span; `start` inclusive, `end` exclusive."""
 
@@ -76,7 +76,7 @@ def make_span(tokens: Sequence[str], slot_type: str, start: int, end: int) -> Sl
     return SlotSpan(slot_type, start, end, " ".join(tokens[start:end]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """One annotated utterance.
 
@@ -318,7 +318,7 @@ def save_corpus(utterances: Iterable[Utterance], path) -> None:
     write_lines(path, map(serialize_utterance, utterances))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     tokens: tuple[str, ...]
     weight: float

@@ -245,7 +245,11 @@ class StageReport:
 @dataclass
 class PipelineResult:
     """The state of a run: what the stages read (see `_STAGES`), the corpus
-    they pass on, what they make, and a report per stage that ran."""
+    they pass on, what they make, and a report per stage that ran.
+
+    `run_pipeline` resets each input in `_RELEASED` to its default once no
+    later stage of the run reads it, so the state it returns holds only the
+    corpus, the models, the SemER report and the stage reports."""
 
     source: list[Utterance] = field(default_factory=list)
     corpus: list[Utterance] = field(default_factory=list)
@@ -259,6 +263,11 @@ class PipelineResult:
     maxent: MaxEntModel | None = None
     semer_report: SemerReport | None = None
     stage_reports: list[StageReport] = field(default_factory=list)
+
+
+# The inputs that a run drops after the last stage that reads them.
+_RELEASED = {"source", "test", "catalogs", "source_catalogs", "forward", "backward",
+             "translations"}
 
 
 def format_removed(counts: Mapping[str, int]) -> str:
@@ -438,7 +447,7 @@ def _setup(config: PipelineConfig) -> PipelineResult:
     t, loaded = config.translation, {}
 
     def forward_translations():
-        translations = load_translations(t.forward_translations)
+        translations = _load_nonempty_translations(t.forward_translations)
         for u in loaded["source"]:
             if u.id in translations:
                 checked(t.forward_translations, None, check_alignment, u, translations[u.id])
@@ -452,7 +461,8 @@ def _setup(config: PipelineConfig) -> PipelineResult:
         "source_catalogs": lambda: load_catalogs(config.source_catalogs),
         "forward": lambda: _build_translator(t, t.forward_phrase_table, forward_translations),
         "backward": lambda: _build_translator(
-            t, t.backward_phrase_table, lambda: load_translations(t.backward_translations)),
+            t, t.backward_phrase_table,
+            lambda: _load_nonempty_translations(t.backward_translations)),
         "translations": forward_translations,
     }
     inputs = _file_inputs(config.stages)
@@ -470,6 +480,13 @@ def _load_nonempty_corpus(path: str, language: str) -> list[Utterance]:
     if not corpus:
         raise FormatError("the corpus has no utterances", path=path)
     return corpus
+
+
+def _load_nonempty_translations(path: str) -> dict[str, TranslationResult]:
+    translations = load_translations(path)
+    if not translations:
+        raise FormatError("the translations file has no translations", path=path)
+    return translations
 
 
 def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
@@ -498,7 +515,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     write_lines(out / "effective_config.json",
                 [json.dumps(config.effective(), sort_keys=True, indent=2)])
     failed: tuple[str, BaseException] | None = None
-    for stage in config.stages:
+    defaults = PipelineResult()
+    for i, stage in enumerate(config.stages):
         _, _, run, (corpus_file, removed_file) = _STAGES[stage]
         input_count = len(state.test) if stage == "evaluate" else len(state.corpus)
         started = time.perf_counter()
@@ -523,6 +541,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 fingerprint=fingerprint,
             )
         )
+        later_reads = set().union(*(_STAGES[s][0] for s in config.stages[i + 1:]))
+        for what in _RELEASED - later_reads:
+            setattr(state, what, getattr(defaults, what))
     _write_stage_reports(out / "stage_reports.tsv", state.stage_reports, failed, earlier_reports)
     if failed is not None:
         raise StageFailure(failed[0], failed[1]) from failed[1]

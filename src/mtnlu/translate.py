@@ -33,7 +33,7 @@ class ProjectionRejected(MtnluError):
         super().__init__("%s%s" % (reason, " (%s)" % detail if detail else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationScores:
     """Score components of one translation plus their weighted total."""
 
@@ -56,7 +56,7 @@ def combined_score(components: Sequence[float], weights: Sequence[float]) -> flo
     return sum(c * w for c, w in zip(components, weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationResult:
     """Target tokens plus source-to-target word alignment and scores.
 

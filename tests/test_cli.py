@@ -136,6 +136,19 @@ class TestExitCodes:
         assert err == "error: %s: the corpus has no utterances\n" % (tmp_path / corpus)
         assert not (tmp_path / "out" / "stage_reports.tsv").exists()
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_empty_translations_file_exits_one_before_any_stage(self, tmp_path, capsys,
+                                                                direction):
+        (tmp_path / "empty.tsv").write_text("# no translations\n\n", encoding="utf-8")
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
+            "translation": {direction + "_phrase_table": None,
+                            direction + "_translations": "empty.tsv"}})
+        assert main(["pipeline", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s: the translations file has no translations\n" % (
+            tmp_path / "empty.tsv")
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def trained_models(tmp_path_factory):

@@ -77,3 +77,39 @@ def test_training_minimises_the_objective_the_oracles_check(monkeypatch, module,
     corpus = toytask.sample_source(60, 3)
     model = train(corpus, TrainingConfig(max_iterations=15), toytask.source_catalogs())
     assert objective(model, [pair(u) for u in corpus])[0] == results[0].values[-1]
+
+
+# the objective after the start point and each of 40 steps on the 12-dimensional
+# Rosenbrock function, recorded with the backtrack factor 0.5 and the history
+# of 10 pairs; either constant changed ends elsewhere (0.7 ends at 6.077, a
+# history of 5 at 5.487)
+_ROSENBROCK_PATH = [
+    1921.4399999999998, 512.2753535360013, 286.73199247119595,
+    118.14701176049182, 39.56582445911694, 20.25592509310944,
+    11.964950107597458, 11.619345851593529, 11.578574806805705,
+    11.571117237531613, 11.568875732733524, 11.568016807599689,
+    11.566904841657287, 11.563309894750235, 11.547183196506243,
+    11.540160019859394, 11.520511895242485, 11.44977268708185,
+    11.372560000456843, 11.322425864962197, 11.169289670075441,
+    10.983781690889856, 10.87369786960406, 10.708728709219105,
+    10.56231407990798, 10.212384813633207, 9.940514627649685,
+    9.612662712085282, 9.563553035368306, 9.170578067514832,
+    9.086129000081245, 8.8045716221689, 8.606468549367888,
+    8.421053216015288, 8.07612444872119, 7.7592175629130065,
+    7.547519125977993, 7.3023037606069146, 6.915121893045162,
+    6.809508253704641, 6.328981041751924,
+]
+
+
+def test_the_path_on_rosenbrock_is_pinned():
+    def rosenbrock(x):
+        d = x[1:] - x[:-1] ** 2
+        grad = np.zeros_like(x)
+        grad[:-1] = -400.0 * x[:-1] * d - 2.0 * (1.0 - x[:-1])
+        grad[1:] += 200.0 * d
+        return float(100.0 * d @ d + (1.0 - x[:-1]) @ (1.0 - x[:-1])), grad
+
+    x0 = np.array([-1.2, 1.0, -0.5, 0.8, 1.5, -1.0, 0.3, 0.9, -0.7, 1.1, 0.2, -0.4])
+    result = optim.minimize(rosenbrock, x0, 40, 1e-12)
+    assert result.iterations == 40 and not result.converged
+    assert result.values == pytest.approx(_ROSENBROCK_PATH, rel=1e-9, abs=0)

@@ -14,7 +14,7 @@ import pytest
 
 import mtnlu
 import toytask
-from mtnlu.corpus import load_catalogs, load_corpus
+from mtnlu.corpus import CatalogEntry, SlotSpan, Utterance, load_catalogs, load_corpus
 from mtnlu import pipeline
 from mtnlu.errors import ConfigError
 from mtnlu.cli import main
@@ -32,7 +32,8 @@ from mtnlu.pipeline import (
     stage_seed,
 )
 from mtnlu.semer import read_semer_report
-from mtnlu.translate import load_translations, save_translations
+from mtnlu.translate import (TranslationResult, TranslationScores, load_translations,
+                             save_translations)
 
 
 def run_config(path, **overrides):
@@ -707,6 +708,33 @@ class TestFullRun:
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         run_config(config_path, out_dir=str(tmp_path / "marked"))
         assert_same_files(tmp_path / "plain", tmp_path / "marked")
+
+
+class TestReleasedInputs:
+    def test_each_input_is_dropped_after_its_last_reader(self, tmp_path, monkeypatch):
+        reads, makes, handler, files = pipeline._STAGES["filter-score"]
+        seen = []
+
+        def spy(config, state, out):
+            seen.append((state.source_catalogs, state.backward, bool(state.translations)))
+            return handler(config, state, out)
+
+        monkeypatch.setitem(pipeline._STAGES, "filter-score", (reads, makes, spy, files))
+        result = run_config(toytask.build_workspace(tmp_path, n_train=30, n_test=10))
+        assert seen == [({}, None, True)]  # filter-score is the last to read translations
+        # the returned state keeps what the CLI and the tests read
+        assert (result.source, result.test, result.translations, result.catalogs,
+                result.source_catalogs, result.forward, result.backward) == (
+            [], [], {}, {}, {}, None, None)
+        assert result.corpus and result.crf and result.maxent and result.semer_report
+        assert [r.stage for r in result.stage_reports] == list(STAGES)
+
+    def test_per_entry_records_have_no_instance_dict(self):
+        scores = TranslationScores(0.0, 0.0, 0.0, 0.0, 0.0)
+        for record in (CatalogEntry(("a",), 1.0), SlotSpan("City", 0, 1, "a"),
+                       Utterance("u1", "en", "d", "i", ("a",)), scores,
+                       TranslationResult("u1", ("a",), frozenset(), scores)):
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_convergence_warnings_name_their_stage(tmp_path, caplog):
