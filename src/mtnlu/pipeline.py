@@ -152,18 +152,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _validate_stages(self.stages)
-        inputs, t = _file_inputs(self.stages), self.translation
-        for what, given, needed in (
-            ("forward", t.forward_translations or t.forward_phrase_table,
-             "a forward translations file or phrase table"),
-            ("translations", t.forward_translations,
-             "translations: run the translate stage or configure a forward translations file"),
-            ("backward", t.backward_translations or t.backward_phrase_table,
-             "a backward translations file or phrase table"),
-            ("source", self.source_corpus, "a source_corpus"),
-            ("test", self.test_corpus, "a test_corpus"),
-        ):
-            if what in inputs and given is None:
+        inputs = _file_inputs(self.stages)
+        for what, (given, needed, _) in _INPUTS.items():
+            if what in inputs and needed is not None and given(self) is None:
                 raise ConfigError("stages %s need %s" % (sorted(inputs[what]), needed))
 
     def effective(self) -> dict:
@@ -247,7 +238,7 @@ class PipelineResult:
     """The state of a run: what the stages read (see `_STAGES`), the corpus
     they pass on, what they make, and a report per stage that ran.
 
-    `run_pipeline` resets each input in `_RELEASED` to its default once no
+    `run_pipeline` resets each input but the models to its default once no
     later stage of the run reads it, so the state it returns holds only the
     corpus, the models, the SemER report and the stage reports."""
 
@@ -263,11 +254,6 @@ class PipelineResult:
     maxent: MaxEntModel | None = None
     semer_report: SemerReport | None = None
     stage_reports: list[StageReport] = field(default_factory=list)
-
-
-# The inputs that a run drops after the last stage that reads them.
-_RELEASED = {"source", "test", "catalogs", "source_catalogs", "forward", "backward",
-             "translations"}
 
 
 def format_removed(counts: Mapping[str, int]) -> str:
@@ -316,24 +302,6 @@ def _write_stage_reports(
     lines += [rows[s] for s in STAGES if s in rows]
     lines += [failures[s] for s in STAGES if s in failures]
     write_lines(path, lines)
-
-
-# --- translator construction --------------------------------------------------
-
-
-def _build_translator(t: TranslationConfig, phrase_table: str | None,
-                      translations: Callable[[], dict]) -> Translator:
-    """A decoder on `phrase_table`, or else the translations `translations()` loads."""
-    if phrase_table is None:
-        return FileTranslator(translations())
-    model = PhraseTableModel.from_pairs(
-        load_phrase_table(phrase_table),
-        lm_alpha=t.lm_alpha,
-        weights=t.weights,
-        max_jump=t.max_jump,
-        beam_size=t.beam_size,
-    )
-    return PhraseTableTranslator(model)
 
 
 # --- stages -------------------------------------------------------------------
@@ -441,52 +409,83 @@ _STAGES: dict[str, tuple[set[str], str | None, Callable[..., FilterOutcome | Non
 STAGES = tuple(_STAGES)
 
 
+def _nonempty(what: str, load: Callable, path: str, *args):
+    items = load(path, *args)
+    if not items:
+        raise FormatError("the " + what, path=path)
+    return items
+
+
+def _build_translator(t: TranslationConfig, phrase_table: str | None, translations: str,
+                      source: Sequence[Utterance]) -> Translator:
+    """A decoder on `phrase_table`, or else the `translations` file."""
+    if phrase_table is None:
+        return FileTranslator(_load_translations(translations, source))
+    model = PhraseTableModel.from_pairs(
+        load_phrase_table(phrase_table),
+        lm_alpha=t.lm_alpha,
+        weights=t.weights,
+        max_jump=t.max_jump,
+        beam_size=t.beam_size,
+    )
+    return PhraseTableTranslator(model)
+
+
+def _load_translations(path: str, source: Sequence[Utterance]) -> dict[str, TranslationResult]:
+    """The translations file at `path`, checked against the alignments of `source`."""
+    translations = _nonempty("translations file has no translations", load_translations, path)
+    for u in source:
+        if u.id in translations:
+            checked(path, None, check_alignment, u, translations[u.id])
+    return translations
+
+
+def _load_catalogs(config: PipelineConfig) -> dict[str, Catalog]:
+    catalogs = load_catalogs(config.catalogs)
+    if "postprocess" in config.stages:
+        check_resample_catalogs(config.postprocess.resample_slots, catalogs)
+    return catalogs
+
+
+# Each input that the stages read (see `_STAGES`) in the order `_setup` loads
+# them: the config value that supplies it; what the stages need when it is
+# None, or None if it cannot be missing; and its loader, which reads the config
+# and the inputs loaded before it.  A loader looks up each load function when
+# it runs, so that a tracer or a test can replace it by name.
+_INPUTS: dict[str, tuple[Callable[[PipelineConfig], object], str | None, Callable]] = {
+    "source": (lambda c: c.source_corpus, "a source_corpus", lambda c, loaded: _nonempty(
+        "corpus has no utterances", load_corpus, c.source_corpus, c.source_language)),
+    "test": (lambda c: c.test_corpus, "a test_corpus", lambda c, loaded: _nonempty(
+        "corpus has no utterances", load_corpus, c.test_corpus, c.target_language)),
+    "models": (lambda c: c.out_dir, None, lambda c, loaded: _load_models(Path(c.out_dir))),
+    "catalogs": (lambda c: c.catalogs, None, lambda c, loaded: _load_catalogs(c)),
+    "source_catalogs": (lambda c: c.source_catalogs, None,
+                        lambda c, loaded: load_catalogs(c.source_catalogs)),
+    "forward": (
+        lambda c: c.translation.forward_translations or c.translation.forward_phrase_table,
+        "a forward translations file or phrase table",
+        lambda c, loaded: _build_translator(c.translation, c.translation.forward_phrase_table,
+                                            c.translation.forward_translations, loaded["source"])),
+    "backward": (
+        lambda c: c.translation.backward_translations or c.translation.backward_phrase_table,
+        "a backward translations file or phrase table",
+        lambda c, loaded: _build_translator(c.translation, c.translation.backward_phrase_table,
+                                            c.translation.backward_translations, ())),
+    "translations": (
+        lambda c: c.translation.forward_translations,
+        "translations: run the translate stage or configure a forward translations file",
+        lambda c, loaded: _load_translations(c.translation.forward_translations, loaded["source"])),
+}
+
+
 def _setup(config: PipelineConfig) -> PipelineResult:
-    """Load the inputs and saved models, and build the translators, that the
-    stages read from files (see `_file_inputs`), always in the order below."""
-    t, loaded = config.translation, {}
-
-    def forward_translations():
-        translations = _load_nonempty_translations(t.forward_translations)
-        for u in loaded["source"]:
-            if u.id in translations:
-                checked(t.forward_translations, None, check_alignment, u, translations[u.id])
-        return translations
-
-    loaders = {
-        "source": lambda: _load_nonempty_corpus(config.source_corpus, config.source_language),
-        "test": lambda: _load_nonempty_corpus(config.test_corpus, config.target_language),
-        "models": lambda: _load_models(Path(config.out_dir)),
-        "catalogs": lambda: load_catalogs(config.catalogs),
-        "source_catalogs": lambda: load_catalogs(config.source_catalogs),
-        "forward": lambda: _build_translator(t, t.forward_phrase_table, forward_translations),
-        "backward": lambda: _build_translator(
-            t, t.backward_phrase_table,
-            lambda: _load_nonempty_translations(t.backward_translations)),
-        "translations": forward_translations,
-    }
-    inputs = _file_inputs(config.stages)
-    for what, load in loaders.items():
+    """The state that the stages start from: the `_INPUTS` they read from files."""
+    inputs, loaded = _file_inputs(config.stages), {}
+    for what, (_, _, load) in _INPUTS.items():
         if what in inputs:
-            loaded[what] = load()
-        if what == "catalogs" and "postprocess" in config.stages:
-            check_resample_catalogs(config.postprocess.resample_slots, loaded[what])
+            loaded[what] = load(config, loaded)
     crf, maxent = loaded.pop("models", (None, None))
     return PipelineResult(corpus=list(loaded.get("source", [])), crf=crf, maxent=maxent, **loaded)
-
-
-def _load_nonempty_corpus(path: str, language: str) -> list[Utterance]:
-    corpus = load_corpus(path, language)
-    if not corpus:
-        raise FormatError("the corpus has no utterances", path=path)
-    return corpus
-
-
-def _load_nonempty_translations(path: str) -> dict[str, TranslationResult]:
-    translations = load_translations(path)
-    if not translations:
-        raise FormatError("the translations file has no translations", path=path)
-    return translations
 
 
 def _load_models(out: Path) -> tuple[CrfModel, MaxEntModel]:
@@ -542,7 +541,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
         )
         later_reads = set().union(*(_STAGES[s][0] for s in config.stages[i + 1:]))
-        for what in _RELEASED - later_reads:
+        for what in _INPUTS.keys() - {"models"} - later_reads:
             setattr(state, what, getattr(defaults, what))
     _write_stage_reports(out / "stage_reports.tsv", state.stage_reports, failed, earlier_reports)
     if failed is not None:

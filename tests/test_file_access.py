@@ -3,8 +3,9 @@
 input.  This test finds every call that touches a file in the source, and
 every `global` statement: what one call leaves for the next is passed as an
 argument, not kept in module state.  It also finds every imported name that
-a module never uses; no linter is required to run the tests, so this is
-the lint for unused imports."""
+a module never uses, and every `_`-prefixed name a module imports from
+another; no linter is required to run the tests, so this is the lint for
+unused and private imports."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,16 @@ def unused_imports() -> list[tuple[str, str]]:
 
 def test_every_imported_name_is_used():
     assert unused_imports() == []
+
+
+def private_imports() -> list[tuple[str, str]]:
+    """(module, name) of each `_`-prefixed name a module imports from another."""
+    return [(path.relative_to(SRC).as_posix(), alias.name)
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports() == []

@@ -113,3 +113,11 @@ def test_the_path_on_rosenbrock_is_pinned():
     result = optim.minimize(rosenbrock, x0, 40, 1e-12)
     assert result.iterations == 40 and not result.converged
     assert result.values == pytest.approx(_ROSENBROCK_PATH, rel=1e-9, abs=0)
+
+
+def test_a_step_that_does_not_lower_the_objective_enough_is_halved():
+    # from 0.5 the full step of x @ x lands on -0.5, where f is 0.25 again:
+    # no decrease, so the sufficient-decrease test rejects it and the halved
+    # step reaches the minimum; a test that accepts any f <= f(x) stays put
+    result = optim.minimize(lambda x: (float(x @ x), 2 * x), np.array([0.5]), 1, 1e-12)
+    assert result.values == [0.25, 0.0]

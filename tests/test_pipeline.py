@@ -196,6 +196,9 @@ class TestConfigValueTypes:
         assert len(fingerprints) == 1
 
 
+FORWARD_TABLE = TranslationConfig(forward_phrase_table="pt")
+
+
 class TestStageValidation:
     def test_out_of_order_stages_rejected(self):
         with pytest.raises(ConfigError, match="subsequence"):
@@ -235,6 +238,48 @@ class TestStageValidation:
     def test_source_corpus_required_for_training(self):
         with pytest.raises(ConfigError, match="source_corpus"):
             PipelineConfig(out_dir="o", stages=("train",))
+
+    @pytest.mark.parametrize("stages, given, line", [
+        (("translate",), {"source_corpus": "x"},
+         "stages ['translate'] need a forward translations file or phrase table"),
+        (("project", "filter-score"), {"source_corpus": "x"},
+         "stages ['filter-score', 'project'] need translations: run the translate stage "
+         "or configure a forward translations file"),
+        (("project",), {"source_corpus": "x", "translation": FORWARD_TABLE},
+         "stages ['project'] need translations: run the translate stage "
+         "or configure a forward translations file"),
+        (("translate", "filter-semantic"), {"source_corpus": "x", "translation": FORWARD_TABLE},
+         "stages ['filter-semantic'] need a backward translations file or phrase table"),
+        (("train",), {}, "stages ['train'] need a source_corpus"),
+        (("evaluate",), {}, "stages ['evaluate'] need a test_corpus"),
+    ], ids=["forward", "translations", "translations-with-table", "backward", "source", "test"])
+    def test_missing_input_line(self, stages, given, line):
+        with pytest.raises(ConfigError) as exc:
+            PipelineConfig(out_dir="o", stages=stages, **given)
+        assert str(exc.value) == line
+
+    def test_the_first_missing_input_in_load_order_is_named(self):
+        # every stage but translate misses four inputs; given one at a time,
+        # each is named in the order that `_setup` loads them
+        with pytest.raises(ConfigError, match=r"^stages \['translate'\] need a source_corpus$"):
+            PipelineConfig(out_dir="o", stages=("translate",))
+        backward = TranslationConfig(backward_phrase_table="pt")
+        needs = []
+        for given in [{}, {"source_corpus": "x"}, {"source_corpus": "x", "test_corpus": "y"},
+                      {"source_corpus": "x", "test_corpus": "y", "translation": backward}]:
+            with pytest.raises(ConfigError) as exc:
+                PipelineConfig(out_dir="o", stages=STAGES[1:], **given)
+            needs.append(str(exc.value).partition(" need ")[2])
+        assert needs == ["a source_corpus", "a test_corpus",
+                         "a backward translations file or phrase table",
+                         "translations: run the translate stage or configure a forward "
+                         "translations file"]
+
+    def test_every_input_a_stage_reads_or_makes_has_a_loader(self):
+        reads = set().union(*(r for r, _, _, _ in pipeline._STAGES.values()))
+        makes = {m for _, m, _, _ in pipeline._STAGES.values() if m is not None}
+        assert reads == pipeline._INPUTS.keys()
+        assert makes <= reads
 
     def test_both_file_and_table_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
