@@ -91,7 +91,6 @@ class Utterance:
     intent: str
     tokens: tuple[str, ...]
     slots: tuple[SlotSpan, ...] = ()
-    source_id: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -427,10 +426,6 @@ _KINDS = {
 }
 
 
-def _config_fields(cls) -> list:
-    return [f for f in fields(cls) if f.metadata.get("config", True)]
-
-
 def _is_kind(kind, value) -> bool:
     if kind is bool:
         return isinstance(value, bool)
@@ -488,7 +483,7 @@ def _shown(value) -> str:
 def parse(hint, value, key: str, base: Path | None = None, items: str | None = None):
     """`value` checked against the annotation `hint` and converted to it, or
     a ValueError that names `key`.  A dataclass `hint` is an object of its
-    config fields, which take their defaults when left out; a dict `hint`
+    fields, which take their defaults when left out; a dict `hint`
     maps each key that the object must hold to its annotation.  InputPath
     values are resolved against `base`; `items` names a fixed list's entries."""
     if is_dataclass(hint) or isinstance(hint, dict):
@@ -500,9 +495,9 @@ def parse(hint, value, key: str, base: Path | None = None, items: str | None = N
             if missing:
                 raise ValueError("missing key %r in %s" % (missing[0], key))
         else:
-            hints, config_fields = get_type_hints(hint), _config_fields(hint)
-            schema = {f.name: hints[f.name] for f in config_fields}
-            meta = {f.name: f.metadata.get("items") for f in config_fields}
+            hints = get_type_hints(hint)
+            schema = {f.name: hints[f.name] for f in fields(hint)}
+            meta = {f.name: f.metadata.get("items") for f in fields(hint)}
         unknown = sorted(value.keys() - schema.keys())
         if unknown:
             raise ValueError("unknown key %r in %s" % (unknown[0], key))
@@ -537,10 +532,10 @@ def parse(hint, value, key: str, base: Path | None = None, items: str | None = N
 
 
 def to_json(config) -> dict:
-    """The config fields of a config dataclass as JSON data: sections as
+    """The fields of a config dataclass as JSON data: sections as
     objects, tuples as lists and sets as sorted lists."""
     out = {}
-    for f in _config_fields(config):
+    for f in fields(config):
         value = getattr(config, f.name)
         if is_dataclass(value):
             value = to_json(value)

@@ -17,7 +17,7 @@ import hashlib
 import json
 import time
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -131,9 +131,8 @@ class PipelineConfig:
 
     The field annotations are the schema: `load_pipeline_config` parses and
     type-checks the file against them and `effective` serialises them, so a
-    new field needs no other edit.  Field metadata may set ``"config":
-    False`` (not a config key) or ``"items"`` (what the entries of a
-    fixed-length list are, for its error message).
+    new field needs no other edit.  Field metadata may set ``"items"`` (what
+    the entries of a fixed-length list are, for its error message).
     """
 
     out_dir: str
@@ -354,11 +353,9 @@ def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path
 
 
 def _stage_postprocess(config: PipelineConfig, state: PipelineResult, out: Path):
-    pp_config = replace(config.postprocess, seed=stage_seed(config.seed, "postprocess"))
     stats: dict[str, int] = {}
-    corpus = combined_postprocess(
-        state.corpus, state.source, state.catalogs, pp_config, stats
-    )
+    corpus = combined_postprocess(state.corpus, state.source, state.catalogs, config.postprocess,
+                                  stage_seed(config.seed, "postprocess"), stats)
     write_lines(out / "postprocess_stats.tsv", ("%s\t%d" % kv for kv in sorted(stats.items())))
     return FilterOutcome(corpus, [])
 

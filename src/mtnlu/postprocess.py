@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .corpus import Catalog, Utterance, make_span
 from .errors import ConfigError
@@ -34,14 +34,13 @@ class PostprocessConfig:
 
     Types listed in both sets are resampled with probability
     ``mix_probability`` and keep the (retained) source value otherwise,
-    decided independently per slot instance.
+    decided independently per slot instance.  The seed of the draws is not
+    part of the config: `combined_postprocess` takes it as an argument.
     """
 
     resample_slots: frozenset[str] = frozenset()
     retain_original_slots: frozenset[str] = frozenset()
     mix_probability: float = 0.5
-    # derived from the run seed by the pipeline, so not a config file key
-    seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "resample_slots", frozenset(self.resample_slots))
@@ -80,7 +79,6 @@ def replace_slot_values(
         utterance.intent,
         tuple(tokens),
         tuple(slots),
-        source_id=utterance.source_id,
     )
 
 
@@ -99,10 +97,11 @@ def resample_slots(
     corpus: list[Utterance],
     catalogs: dict[str, Catalog],
     config: PostprocessConfig,
+    seed: int = 0,
 ) -> list[Utterance]:
     """Redraw configured slot values from weighted catalogs."""
     return combined_postprocess(
-        corpus, [], catalogs, replace(config, retain_original_slots=frozenset()))
+        corpus, [], catalogs, replace(config, retain_original_slots=frozenset()), seed)
 
 
 def retain_original_slots(
@@ -114,12 +113,13 @@ def retain_original_slots(
     """Copy source-language values back into configured slots.
 
     The k-th slot of a configured type takes the value of the k-th slot of
-    that type in the source utterance.  Utterances where the two sides
-    disagree on the number of slots of a configured type pass through
-    unchanged; ``stats`` (if given) counts them under MULTIPLICITY_MISMATCH.
+    that type in the source utterance with the same id.  Utterances where
+    the two sides disagree on the number of slots of a configured type pass
+    through unchanged; ``stats`` (if given) counts them under
+    MULTIPLICITY_MISMATCH.
     """
     return combined_postprocess(translated_corpus, source_corpus, {},
-                                replace(config, resample_slots=frozenset()), stats)
+                                replace(config, resample_slots=frozenset()), stats=stats)
 
 
 def _retained(
@@ -146,31 +146,32 @@ def combined_postprocess(
     source_corpus: list[Utterance],
     catalogs: dict[str, Catalog],
     config: PostprocessConfig,
+    seed: int = 0,
     stats: dict[str, int] | None = None,
 ) -> list[Utterance]:
     """Decide each slot's value once, in slot order.
 
     A slot of a resampled type is redrawn from its catalog by the
-    utterance's "resample" stream; if its type is also retained, only when
-    the utterance's "mix" stream comes up below ``mix_probability``.  A slot
-    not redrawn takes the retained source value (see `retain_original_slots`)
-    when its type is retained, and keeps its value otherwise.
+    utterance's "resample" stream, seeded from ``(seed, utterance id)``; if
+    its type is also retained, only when the utterance's "mix" stream comes
+    up below ``mix_probability``.  A slot not redrawn takes the retained
+    value of the source utterance with the same id (see
+    `retain_original_slots`) when its type is retained, and keeps its value
+    otherwise.
     """
     resample, retain = config.resample_slots, config.retain_original_slots
     sources = {u.id: u for u in source_corpus}
     for u in translated_corpus:
-        if retain and u.source_id not in sources:
-            raise ConfigError(
-                "utterance %s: source_id %r not in source corpus" % (u.id, u.source_id)
-            )
+        if retain and u.id not in sources:
+            raise ConfigError("utterance %s: not in source corpus" % u.id)
     check_resample_catalogs(resample, catalogs)
     out = []
     for u in translated_corpus:
-        replacements = _retained(u, sources[u.source_id], retain, stats) if retain else {}
+        replacements = _retained(u, sources[u.id], retain, stats) if retain else {}
         redraw = [(i, s.slot_type) for i, s in enumerate(u.slots) if s.slot_type in resample]
         if redraw:  # seeding a stream costs more than a draw: only where one is read
-            rng_value = _stream(config.seed, "resample", u.id)
-            rng_mix = _stream(config.seed, "mix", u.id)
+            rng_value = _stream(seed, "resample", u.id)
+            rng_mix = _stream(seed, "mix", u.id)
         for idx, t in redraw:
             if t not in retain or rng_mix.random() < config.mix_probability:
                 replacements[idx] = catalogs[t].draw(rng_value).tokens

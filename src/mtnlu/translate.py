@@ -362,7 +362,6 @@ def project_annotations(
         source.intent,
         result.target_tokens,
         tuple(spans),
-        source_id=source.id,
     )
 
 

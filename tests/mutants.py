@@ -11,8 +11,9 @@ mutant is killed, and 1 otherwise.
 
 Pytest does not collect this file (its name does not match `test_*.py`), and
 CI does not run it: each mutant costs up to one Tier-1 run.  An edit whose
-`old` text does not occur exactly once stops the script before any run, so a
-mutant cannot go stale unnoticed.
+`old` text does not occur exactly once stops the script before any run, and
+fails `tests/test_mutants.py` in Tier-1, so a mutant cannot go stale
+unnoticed.
 """
 
 from __future__ import annotations
@@ -53,17 +54,26 @@ MUTANTS = [
      "        check_resample_catalogs(config.postprocess.resample_slots, catalogs)\n", ""),
     # the models are released after their last reader like every other input
     ("pipeline.py", '_INPUTS.keys() - {"models"} - later_reads', "_INPUTS.keys() - later_reads"),
+    # post-processing draws from the run seed instead of its stage's seed
+    ("pipeline.py", 'stage_seed(config.seed, "postprocess")', "config.seed"),
+    # retention reads the translated utterance instead of its source
+    ("postprocess.py", "_retained(u, sources[u.id], retain, stats)", "_retained(u, u, retain, stats)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-x", "-p", "no:cacheprovider"]
 
 
-def check_edits() -> None:
+def stale_edits() -> list[str]:
+    """One line for each edit whose `old` text does not occur exactly once in
+    the checkout's `src`."""
+    stale = []
     for name, old, _ in MUTANTS:
         count = (ROOT / "src" / "mtnlu" / name).read_text(encoding="utf-8").count(old)
         if count != 1:
-            sys.exit("%s: the text to mutate occurs %d times, not once: %r" % (name, count, old))
+            stale.append("%s: the text to mutate occurs %d times, not once: %r"
+                         % (name, count, old))
+    return stale
 
 
 def survives(name: str, old: str, new: str) -> bool:
@@ -84,7 +94,9 @@ def _short(text: str) -> str:
 
 
 def main() -> int:
-    check_edits()
+    stale = stale_edits()
+    if stale:
+        sys.exit("\n".join(stale))
     survivors = 0
     for name, old, new in MUTANTS:
         started = time.perf_counter()

@@ -512,7 +512,7 @@ def test_criterion_7_postprocess():
         ))
     out = resample_slots(
         corpus, {"City": catalog},
-        PostprocessConfig(resample_slots=frozenset({"City"}), seed=5),
+        PostprocessConfig(resample_slots=frozenset({"City"})), seed=5,
     )
     share = sum(u.slots[0].value == "berlin" for u in out) / len(out)
     if abs(share - 0.75) > 0.02:
@@ -524,8 +524,7 @@ def test_criterion_7_postprocess():
                     (make_span(src_tokens, "MediaName", 1, 5),))
     tgt_tokens = ("spiel", "wir", "sind", "die", "meister")
     tgt = Utterance("s1", "de", "Music", "PlayMusic", tgt_tokens,
-                    (make_span(tgt_tokens, "MediaName", 1, 5),),
-                    source_id="s1")
+                    (make_span(tgt_tokens, "MediaName", 1, 5),))
     retained = retain_original_slots(
         [tgt], [src],
         PostprocessConfig(retain_original_slots=frozenset({"MediaName"})),
@@ -562,7 +561,7 @@ def test_criterion_7_postprocess():
         )
         out = resample_slots(
             [u], catalogs,
-            PostprocessConfig(resample_slots=frozenset({"A", "B"}), seed=case),
+            PostprocessConfig(resample_slots=frozenset({"A", "B"})), seed=case,
         )[0]
         # round-trips through the corpus file format
         if parse_annotated_line(serialize_utterance(out)) != out:

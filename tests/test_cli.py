@@ -13,7 +13,7 @@ import pytest
 
 import mtnlu
 import toytask
-from mtnlu import cli
+from mtnlu import cli, pipeline
 from mtnlu.cli import main
 from mtnlu.corpus import load_corpus
 from mtnlu.errors import MtnluError
@@ -112,7 +112,19 @@ class TestExitCodes:
         assert err == "error: no catalog for resampled slot types: Nowhere\n"
         assert not (tmp_path / "out" / "stage_reports.tsv").exists()
 
-    def test_stage_failure_exits_two(self, tmp_path, capsys):
+    def test_missing_resample_catalog_is_no_error_without_postprocess(self, tmp_path, capsys):
+        config = toytask.build_workspace(tmp_path, n_train=4, n_test=2, config_update={
+            "postprocess": {"resample_slots": ["Nowhere"]}})
+        assert main(["pipeline", "--config", config, "--stages", "train"]) == 0
+        assert (tmp_path / "out" / "crf_model.json").exists()
+
+    def test_stage_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        reads, makes, _, files = pipeline._STAGES["postprocess"]
+
+        def failing_handler(config, state, out):
+            raise ValueError("postprocess handler failed")
+
+        monkeypatch.setitem(pipeline._STAGES, "postprocess", (reads, makes, failing_handler, files))
         config = toytask.build_workspace(tmp_path, config_update={
             "stages": ["postprocess"],
         })

@@ -254,6 +254,13 @@ class TestScaledForwardBackward:
         for g, ref in zip(grads, ref_grads):
             assert np.array_equal(g, ref)
 
+    def test_a_subnormal_forward_sum_falls_back(self):
+        # the step into t = 1 sums to about 4.1e-313, positive but below the
+        # smallest normal float; dividing by it overflows the pair marginals
+        E = np.array([[[0.0, -745.0]], [[-720.0, 0.0]]])
+        transitions = np.array([[0.0, -720.0], [-720.0, -720.0]])
+        assert crf._scaled_forward_backward(E, transitions) is None
+
 
 class TestViterbi:
     def test_matches_exhaustive_search(self):

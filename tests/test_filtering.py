@@ -101,7 +101,7 @@ class TestRoundtripFilter:
         assert out.kept[0].tokens == corpus[0].tokens
         assert out.kept[0].slots == corpus[0].slots
         assert out.kept[0].language == "de"
-        assert out.kept[0].source_id == "u1"
+        assert out.kept[0].id == "u1"
 
     def test_ambiguous_back_translation_flips_intent(self):
         # "resume" -> "weiter" -> "forward": the back-translation reads as a

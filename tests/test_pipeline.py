@@ -14,14 +14,15 @@ import pytest
 
 import mtnlu
 import toytask
-from mtnlu.corpus import CatalogEntry, SlotSpan, Utterance, load_catalogs, load_corpus
+from mtnlu.corpus import (CatalogEntry, SlotSpan, Utterance, load_catalogs, load_corpus,
+                          serialize_utterance)
 from mtnlu import pipeline
 from mtnlu.errors import ConfigError
 from mtnlu.cli import main
 from mtnlu.filtering import (INTENT_MISMATCH, NO_BACK_TRANSLATION, NO_TRANSLATION, FilterConfig,
                              roundtrip_filter)
 from mtnlu.nlu import TrainingConfig, train_slot_tagger
-from mtnlu.postprocess import PostprocessConfig
+from mtnlu.postprocess import PostprocessConfig, combined_postprocess
 from mtnlu.pipeline import (
     STAGES,
     PipelineConfig,
@@ -38,6 +39,16 @@ from mtnlu.translate import (TranslationResult, TranslationScores, load_translat
 
 def run_config(path, **overrides):
     return run_pipeline(load_pipeline_config(path, **overrides))
+
+
+def fail_postprocess(monkeypatch):
+    """Make the postprocess stage's handler raise."""
+    reads, makes, _, files = pipeline._STAGES["postprocess"]
+
+    def failing_handler(config, state, out):
+        raise ValueError("postprocess handler failed")
+
+    monkeypatch.setitem(pipeline._STAGES, "postprocess", (reads, makes, failing_handler, files))
 
 
 def assert_same_files(a, b):
@@ -391,8 +402,6 @@ def config_leaves(cls, prefix=()):
     """(key path, annotation) of every config key below the dataclass `cls`."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        if not f.metadata.get("config", True):
-            continue
         if dataclasses.is_dataclass(hints[f.name]):
             yield from config_leaves(hints[f.name], prefix + (f.name,))
         else:
@@ -496,6 +505,25 @@ class TestStageSeed:
         assert stage_seed(7, "postprocess") != stage_seed(8, "postprocess")
         assert stage_seed(7, "postprocess") != stage_seed(7, "translate")
 
+    def test_postprocess_draws_from_its_stage_seed(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, config_update={
+            "stages": ["translate", "project", "postprocess"]})
+        config = load_pipeline_config(config_path)
+        assert config.seed == 7
+        run_pipeline(config)
+        out = tmp_path / "out"
+        written = (out / "corpus_postprocessed.tsv").read_text(encoding="utf-8").splitlines()
+        projected = load_corpus(str(out / "corpus_projected.tsv"), "de")
+        source = load_corpus(config.source_corpus, "en")
+        catalogs = load_catalogs(config.catalogs)
+
+        def postprocessed(seed):
+            return [serialize_utterance(u) for u in combined_postprocess(
+                projected, source, catalogs, config.postprocess, seed)]
+
+        assert written == postprocessed(stage_seed(7, "postprocess"))
+        assert written != postprocessed(7)
+
 
 class TestFullRun:
     def test_all_stages(self, tmp_path):
@@ -523,13 +551,12 @@ class TestFullRun:
         assert read_semer_report(str(out / "semer_report.tsv")) == result.semer_report
 
         # the projected corpus is the suffixed source corpus; projection keeps
-        # the source id (the file format has no separate source_id column)
+        # the source id
         projected = load_corpus(str(out / "corpus_projected.tsv"), "de")
         source = load_corpus(str(tmp_path / "train.tsv"), "en")
         for src, tgt in zip(source, projected):
             assert tgt.tokens == toytask.translate_tokens(src.tokens)
             assert tgt.id == src.id
-        assert all(u.source_id is not None for u in result.corpus)
 
         # the model learns the small clean task reasonably well
         assert result.semer_report.overall.intent_errors == 0
@@ -572,8 +599,8 @@ class TestFullRun:
             run_config(config_path, stages=["evaluate"])
         assert not (tmp_path / "fresh" / "stage_reports.tsv").exists()
 
-    def test_stage_failure_writes_partial_report(self, tmp_path):
-        # retention without projected source ids fails inside the stage
+    def test_stage_failure_writes_partial_report(self, tmp_path, monkeypatch):
+        fail_postprocess(monkeypatch)
         config_path = toytask.build_workspace(tmp_path, config_update={
             "stages": ["postprocess"],
             "out_dir": "pout",
@@ -599,14 +626,14 @@ class TestFullRun:
         run_config(config_path)
         assert report.read_text().splitlines() == full
 
-    def test_failures_are_kept_until_their_stage_runs_again(self, tmp_path):
+    def test_failures_are_kept_until_their_stage_runs_again(self, tmp_path, monkeypatch):
+        fail_postprocess(monkeypatch)
         config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
         report = tmp_path / "out" / "stage_reports.tsv"
 
         def first_cells():
             return [line.split("\t")[:2] for line in report.read_text().splitlines()]
 
-        # retention without projected source ids fails inside the stage
         with pytest.raises(StageFailure, match="postprocess"):
             run_config(config_path, stages=["postprocess"])
         # the score filter fails inside the stage on a translations file that

@@ -30,10 +30,10 @@ def catalog(slot_type, *weighted):
     )
 
 
-def utt(uid, text, slots=(), source_id=None, domain="D", intent="I", language="de"):
+def utt(uid, text, slots=(), domain="D", intent="I", language="de"):
     tokens = tuple(text.split())
     spans = tuple(make_span(tokens, t, a, b) for t, a, b in slots)
-    return Utterance(uid, language, domain, intent, tokens, spans, source_id=source_id)
+    return Utterance(uid, language, domain, intent, tokens, spans)
 
 
 class TestReplaceSlotValues:
@@ -63,8 +63,8 @@ class TestResample:
             "u1\tWeather\tGetWeather\thow is the weather in [new york](City)",
             language="de",
         )
-        cfg = PostprocessConfig(resample_slots={"City"}, seed=1)
-        (out,) = resample_slots([u], {"City": catalog("City", ("Berlin", 1.0))}, cfg)
+        cfg = PostprocessConfig(resample_slots={"City"})
+        (out,) = resample_slots([u], {"City": catalog("City", ("Berlin", 1.0))}, cfg, seed=1)
         assert serialize_utterance(out) == (
             "u1\tWeather\tGetWeather\thow is the weather in [berlin](City)"
         )
@@ -72,21 +72,21 @@ class TestResample:
     def test_weighted_frequencies(self):
         cats = {"City": catalog("City", ("berlin", 3.0), ("hamburg", 1.0))}
         corpus = [utt("u%05d" % i, "go to x", [("City", 2, 3)]) for i in range(10000)]
-        cfg = PostprocessConfig(resample_slots={"City"}, seed=5)
-        out = resample_slots(corpus, cats, cfg)
+        cfg = PostprocessConfig(resample_slots={"City"})
+        out = resample_slots(corpus, cats, cfg, seed=5)
         share = sum(u.slots[0].value == "berlin" for u in out) / len(out)
         assert share == pytest.approx(0.75, abs=0.02)
 
     def test_empty_set_is_a_no_op(self):
         corpus = [utt("u1", "play queen", [("Artist", 1, 2)])]
-        out = resample_slots(corpus, {}, PostprocessConfig(seed=3))
+        out = resample_slots(corpus, {}, PostprocessConfig(), seed=3)
         assert out == corpus
 
     def test_unconfigured_types_untouched(self):
         u = utt("u1", "play queen in berlin", [("Artist", 1, 2), ("City", 3, 4)])
         cats = {"Artist": catalog("Artist", ("abba", 1.0))}
-        cfg = PostprocessConfig(resample_slots={"Artist"}, seed=1)
-        (out,) = resample_slots([u], cats, cfg)
+        cfg = PostprocessConfig(resample_slots={"Artist"})
+        (out,) = resample_slots([u], cats, cfg, seed=1)
         assert out.slots[0].value == "abba"
         assert out.slots[1].value == "berlin"
         assert out.tokens[0] == "play" and out.tokens[2] == "in"
@@ -103,33 +103,29 @@ class TestResample:
             utt("u%d" % i, "play x and y", [("Artist", 1, 2), ("Artist", 3, 4)])
             for i in range(40)
         ]
-        cfg = PostprocessConfig(resample_slots={"Artist"}, seed=9)
-        straight = {u.id: u for u in resample_slots(corpus, cats, cfg)}
+        cfg = PostprocessConfig(resample_slots={"Artist"})
+        straight = {u.id: u for u in resample_slots(corpus, cats, cfg, seed=9)}
         shuffled = list(corpus)
         rng.shuffle(shuffled)
-        reordered = {u.id: u for u in resample_slots(shuffled, cats, cfg)}
+        reordered = {u.id: u for u in resample_slots(shuffled, cats, cfg, seed=9)}
         assert straight == reordered
 
     def test_same_seed_is_byte_identical(self):
         cats = {"Artist": catalog("Artist", ("a", 1.0), ("b", 1.0))}
         corpus = [utt("u%d" % i, "play x", [("Artist", 1, 2)]) for i in range(50)]
-        cfg = PostprocessConfig(resample_slots={"Artist"}, seed=2)
-        first = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg)]
-        second = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg)]
+        cfg = PostprocessConfig(resample_slots={"Artist"})
+        first = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg, seed=2)]
+        second = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg, seed=2)]
         assert first == second
 
 
 class TestRetain:
     def test_restores_source_value(self):
         source = parse_annotated_line(
-            "s1\tMusic\tPlay\tplay [we are the champions](SongName)", language="en"
+            "t1\tMusic\tPlay\tplay [we are the champions](SongName)", language="en"
         )
         translated = parse_annotated_line(
             "t1\tMusic\tPlay\tspiel [wir sind die champions](SongName)", language="de"
-        )
-        translated = Utterance(
-            translated.id, "de", translated.domain, translated.intent,
-            translated.tokens, translated.slots, source_id="s1",
         )
         cfg = PostprocessConfig(retain_original_slots={"SongName"})
         (out,) = retain_original_slots([translated], [source], cfg)
@@ -137,21 +133,20 @@ class TestRetain:
         assert out.tokens == ("spiel", "we", "are", "the", "champions")
 
     def test_empty_set_is_a_no_op(self):
-        corpus = [utt("t1", "spiel x", [("SongName", 1, 2)], source_id="s1")]
+        corpus = [utt("t1", "spiel x", [("SongName", 1, 2)])]
         assert retain_original_slots(corpus, [], PostprocessConfig()) == corpus
 
     def test_occurrence_order_pairing(self):
-        source = utt("s1", "from a to b", [("City", 1, 2), ("City", 3, 4)], language="en")
-        translated = utt("t1", "von x nach y", [("City", 1, 2), ("City", 3, 4)],
-                         source_id="s1")
+        source = utt("t1", "from a to b", [("City", 1, 2), ("City", 3, 4)], language="en")
+        translated = utt("t1", "von x nach y", [("City", 1, 2), ("City", 3, 4)])
         cfg = PostprocessConfig(retain_original_slots={"City"})
         (out,) = retain_original_slots([translated], [source], cfg)
         assert out.slots[0].value == "a" and out.slots[1].value == "b"
 
     def test_multiplicity_mismatch_passes_through(self):
-        source = utt("s1", "play a and b", [("Artist", 1, 2), ("Artist", 3, 4)],
+        source = utt("t1", "play a and b", [("Artist", 1, 2), ("Artist", 3, 4)],
                      language="en")
-        translated = utt("t1", "spiel nur x", [("Artist", 2, 3)], source_id="s1")
+        translated = utt("t1", "spiel nur x", [("Artist", 2, 3)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         stats = {}
         (out,) = retain_original_slots([translated], [source], cfg, stats=stats)
@@ -159,74 +154,64 @@ class TestRetain:
         assert stats == {MULTIPLICITY_MISMATCH: 1}
 
     def test_dangling_source_id_is_an_error(self):
-        translated = utt("t1", "spiel x", [("Artist", 1, 2)], source_id="missing")
+        source = utt("t1", "play x", [("Artist", 1, 2)], language="en")
+        translated = utt("missing", "spiel x", [("Artist", 1, 2)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         with pytest.raises(ConfigError, match="missing"):
-            retain_original_slots([translated], [], cfg)
-
-    def test_unset_source_id_is_an_error(self):
-        translated = utt("t1", "spiel x", [("Artist", 1, 2)])
-        cfg = PostprocessConfig(retain_original_slots={"Artist"})
-        with pytest.raises(ConfigError):
-            retain_original_slots([translated], [], cfg)
+            retain_original_slots([translated], [source], cfg)
 
 
-def mixed_fixture(n=1, seed=0, p=0.5):
+def mixed_fixture(n=1, p=0.5):
     source = [
-        utt("s%d" % i, "play orig now", [("Artist", 1, 2)], language="en")
+        utt("t%d" % i, "play orig now", [("Artist", 1, 2)], language="en")
         for i in range(n)
     ]
     translated = [
-        utt("t%d" % i, "spiel foo jetzt", [("Artist", 1, 2)], source_id="s%d" % i)
+        utt("t%d" % i, "spiel foo jetzt", [("Artist", 1, 2)])
         for i in range(n)
     ]
     cats = {"Artist": catalog("Artist", ("cat", 1.0))}
     cfg = PostprocessConfig(
-        resample_slots={"Artist"}, retain_original_slots={"Artist"},
-        mix_probability=p, seed=seed,
+        resample_slots={"Artist"}, retain_original_slots={"Artist"}, mix_probability=p,
     )
     return source, translated, cats, cfg
 
 
 class TestCombined:
     def test_disjoint_sets_compose(self):
-        source = [utt("s1", "play orig by someone",
+        source = [utt("t1", "play orig by someone",
                       [("Song", 1, 2), ("Artist", 3, 4)], language="en")]
-        translated = [utt("t1", "spiel foo von bar",
-                          [("Song", 1, 2), ("Artist", 3, 4)], source_id="s1")]
+        translated = [utt("t1", "spiel foo von bar", [("Song", 1, 2), ("Artist", 3, 4)])]
         cats = {"Artist": catalog("Artist", ("a b", 1.0), ("c", 1.0))}
-        cfg = PostprocessConfig(
-            resample_slots={"Artist"}, retain_original_slots={"Song"}, seed=4
-        )
-        combined = combined_postprocess(translated, source, cats, cfg)
+        cfg = PostprocessConfig(resample_slots={"Artist"}, retain_original_slots={"Song"})
+        combined = combined_postprocess(translated, source, cats, cfg, seed=4)
         staged = resample_slots(
-            retain_original_slots(translated, source, cfg), cats, cfg
+            retain_original_slots(translated, source, cfg), cats, cfg, seed=4
         )
         assert combined == staged
         assert combined[0].slots[0].value == "orig"
 
     def test_p_one_equals_resampling_alone(self):
-        source, translated, cats, cfg = mixed_fixture(n=30, seed=7, p=1.0)
-        combined = combined_postprocess(translated, source, cats, cfg)
-        assert combined == resample_slots(translated, cats, cfg)
+        source, translated, cats, cfg = mixed_fixture(n=30, p=1.0)
+        combined = combined_postprocess(translated, source, cats, cfg, seed=7)
+        assert combined == resample_slots(translated, cats, cfg, seed=7)
 
     def test_p_zero_equals_retention_alone(self):
-        source, translated, cats, cfg = mixed_fixture(n=30, seed=7, p=0.0)
-        combined = combined_postprocess(translated, source, cats, cfg)
+        source, translated, cats, cfg = mixed_fixture(n=30, p=0.0)
+        combined = combined_postprocess(translated, source, cats, cfg, seed=7)
         assert combined == retain_original_slots(translated, source, cfg)
 
     def test_mix_probability_frequencies(self):
-        source, translated, cats, cfg = mixed_fixture(n=10000, seed=13, p=0.3)
-        out = combined_postprocess(translated, source, cats, cfg)
+        source, translated, cats, cfg = mixed_fixture(n=10000, p=0.3)
+        out = combined_postprocess(translated, source, cats, cfg, seed=13)
         values = {u.slots[0].value for u in out}
         assert values == {"cat", "orig"}
         share = sum(u.slots[0].value == "cat" for u in out) / len(out)
         assert share == pytest.approx(0.3, abs=0.02)
 
     def test_identity_config_is_byte_identical(self):
-        corpus = [utt("t%d" % i, "spiel foo", [("Artist", 1, 2)], source_id="s%d" % i)
-                  for i in range(5)]
-        out = combined_postprocess(corpus, [], {}, PostprocessConfig(seed=1))
+        corpus = [utt("t%d" % i, "spiel foo", [("Artist", 1, 2)]) for i in range(5)]
+        out = combined_postprocess(corpus, [], {}, PostprocessConfig(), seed=1)
         assert [serialize_utterance(u) for u in out] == [
             serialize_utterance(u) for u in corpus
         ]
@@ -235,25 +220,20 @@ class TestCombined:
 def golden_fixture():
     """Overlapping sets, weighted catalogs with a zero weight, and two
     multiplicity mismatches (Song in t2, City in t4)."""
-    def line(text, language, source_id=None):
-        u = parse_annotated_line(text, language=language)
-        return Utterance(u.id, language, u.domain, u.intent, u.tokens, u.slots,
-                         source_id=source_id)
-
-    source = [line(text, "en") for text in [
-        "s1\tMusic\tPlay\tplay [yesterday](Song) by [the beatles](Artist) in [london](City)",
-        "s2\tMusic\tPlay\tplay [help](Song) and [let it be](Song) by [the beatles](Artist)",
-        "s3\tInfo\tWeather\tweather in [paris](City) and [rome](City)",
-        "s4\tMusic\tPlay\tplay [abba](Artist) in [oslo](City)",
-        "s5\tInfo\tWeather\tweather in [new york](City) at [noon](Time)",
+    source = [parse_annotated_line(text, language="en") for text in [
+        "t1\tMusic\tPlay\tplay [yesterday](Song) by [the beatles](Artist) in [london](City)",
+        "t2\tMusic\tPlay\tplay [help](Song) and [let it be](Song) by [the beatles](Artist)",
+        "t3\tInfo\tWeather\tweather in [paris](City) and [rome](City)",
+        "t4\tMusic\tPlay\tplay [abba](Artist) in [oslo](City)",
+        "t5\tInfo\tWeather\tweather in [new york](City) at [noon](Time)",
     ]]
-    translated = [line(text, "de", "s%d" % i) for i, text in enumerate([
+    translated = [parse_annotated_line(text, language="de") for text in [
         "t1\tMusic\tPlay\tspiel [gestern](Song) von [die beatles](Artist) in [londres](City)",
         "t2\tMusic\tPlay\tspiel [hilfe und lass es sein](Song) von [die beatles](Artist)",
         "t3\tInfo\tWeather\twetter in [parigi](City) und [rom](City)",
         "t4\tMusic\tPlay\tspiel [abba](Artist) in [oslo](City) und [bergen](City)",
         "t5\tInfo\tWeather\twetter in [neu york](City) um [mittag](Time)",
-    ], start=1)]
+    ]]
     cats = {
         "City": catalog("City", ("berlin", 3.0), ("bad homburg", 1.0), ("nowhere", 0.0),
                         ("köln", 2.0)),
@@ -261,7 +241,7 @@ def golden_fixture():
     }
     cfg = PostprocessConfig(resample_slots={"City", "Artist"},
                             retain_original_slots={"City", "Song"},
-                            mix_probability=0.3, seed=11)
+                            mix_probability=0.3)
     return source, translated, cats, cfg
 
 
@@ -273,8 +253,8 @@ class TestGolden:
         source, translated, cats, cfg = golden_fixture()
         stats = {}
         out = {
-            "combined": lambda: combined_postprocess(translated, source, cats, cfg, stats),
-            "resample": lambda: resample_slots(translated, cats, cfg),
+            "combined": lambda: combined_postprocess(translated, source, cats, cfg, 11, stats),
+            "resample": lambda: resample_slots(translated, cats, cfg, 11),
             "retain": lambda: retain_original_slots(translated, source, cfg, stats),
         }[which]()
         return [serialize_utterance(u).split("\t")[3] for u in out], stats
@@ -308,8 +288,8 @@ class TestGolden:
 
     def test_missing_source_is_reported_before_a_missing_catalog(self):
         source, translated, _, cfg = golden_fixture()
-        orphan = utt("t9", "spiel x", [("Song", 1, 2)], source_id="s9")
-        with pytest.raises(ConfigError, match="s9"):
+        orphan = utt("t9", "spiel x", [("Song", 1, 2)])
+        with pytest.raises(ConfigError, match="t9"):
             combined_postprocess(translated + [orphan], source, {}, cfg)
 
 
@@ -333,8 +313,8 @@ class TestInvariantsOnRandomLayouts:
                 else:
                     j += 1
             u = utt("u%d" % case, " ".join(tokens), spans)
-            cfg = PostprocessConfig(resample_slots={"A", "B"}, seed=case)
-            (out,) = resample_slots([u], cats, cfg)
+            cfg = PostprocessConfig(resample_slots={"A", "B"})
+            (out,) = resample_slots([u], cats, cfg, seed=case)
             # round-trips through the serialized format => invariants hold
             assert parse_annotated_line(serialize_utterance(out), language="de") == \
                 Utterance(out.id, "de", out.domain, out.intent, out.tokens, out.slots)

@@ -298,7 +298,7 @@ class TestProjection:
             assert p.tokens == u.tokens
             assert p.slots == u.slots
             assert p.intent == u.intent and p.domain == u.domain
-            assert p.source_id == u.id and p.language == "de"
+            assert p.id == u.id and p.language == "de"
 
     def test_insertion_shifts_span(self):
         src_tokens = ("how", "is", "the", "weather", "in", "new", "york")
