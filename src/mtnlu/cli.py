@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog file (repeatable)")
     p.add_argument("--count", type=int, required=True, help="number of utterances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--language", default="")
     p.add_argument("--id-prefix", default="g")
     p.add_argument("--out", required=True, help="output corpus file")
     p.set_defaults(func=_cmd_sample_grammar)
@@ -117,10 +116,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sample_grammar(args) -> int:
     templates = load_grammar(args.grammar)
     catalogs = load_catalogs(args.catalog)
-    corpus = sample_grammar(
-        templates, catalogs, args.count, args.seed,
-        language=args.language, id_prefix=args.id_prefix,
-    )
+    corpus = sample_grammar(templates, catalogs, args.count, args.seed, id_prefix=args.id_prefix)
     save_corpus(corpus, args.out)
     print("wrote %d utterances to %s" % (len(corpus), args.out))
     return 0

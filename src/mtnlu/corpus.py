@@ -13,7 +13,7 @@ Lines starting with ``#`` and blank lines are ignored.  Catalogs (weighted
 value lists per slot type) and grammar templates come in their own line
 formats; see `load_catalog` and `load_grammar`.  Every line format of the
 package is read by `read_records`, every JSON file by `read_json` and `parse`;
-every text file but the model files is written by `write_lines`.
+every text file is written by `write_lines`.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ def check_name(name: str, what: str) -> None:
         raise ValueError("invalid %s: %r" % (what, name))
 
 
+def check_field(value: str, what: str) -> None:
+    """ValueError unless `value` can be a field of a corpus line: non-empty,
+    without leading or trailing whitespace, and without a tab, CR or LF."""
+    if not value or value != value.strip() or "\t" in value or "\r" in value or "\n" in value:
+        raise ValueError("invalid %s: %r" % (what, value))
+
+
 @dataclass(frozen=True, slots=True)
 class SlotSpan:
     """A labeled token span; `start` inclusive, `end` exclusive."""
@@ -78,15 +85,16 @@ def make_span(tokens: Sequence[str], slot_type: str, start: int, end: int) -> Sl
 
 @dataclass(frozen=True, slots=True)
 class Utterance:
-    """One annotated utterance.
+    """One annotated utterance: the four fields of a corpus line, with the
+    annotated text as tokens and slots.
 
-    Invariants enforced here: tokens are non-empty, whitespace- and
-    bracket-free; slots are sorted by start, non-overlapping, inside the
-    token range, and each slot's value equals the joined tokens it covers.
+    Invariants enforced here: id, domain and intent pass `check_field`;
+    tokens are non-empty, whitespace- and bracket-free; slots are sorted by
+    start, non-overlapping, inside the token range, and each slot's value
+    equals the joined tokens it covers.
     """
 
     id: str
-    language: str
     domain: str
     intent: str
     tokens: tuple[str, ...]
@@ -95,8 +103,9 @@ class Utterance:
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.id:
-            raise ValueError("utterance id must be non-empty")
+        check_field(self.id, "utterance id")
+        check_field(self.domain, "domain")
+        check_field(self.intent, "intent")
         if not self.tokens:
             raise ValueError("utterance %s has no tokens" % self.id)
         for t in self.tokens:
@@ -118,23 +127,15 @@ class Utterance:
             prev_end = s.end
 
 
-def parse_annotated_line(
-    line: str, language: str = "", line_no: int | None = None, path=None
-) -> Utterance:
-    """Parse one corpus line into an Utterance.
-
-    The line format carries no language; callers pass it in.
-    """
-    return read_records(path, functools.partial(_utterance, language), (4,),
-                        lines=[(line_no, line)])[0]
+def parse_annotated_line(line: str, line_no: int | None = None, path=None) -> Utterance:
+    """Parse one corpus line into an Utterance."""
+    return read_records(path, _utterance, (4,), lines=[(line_no, line)])[0]
 
 
-def _utterance(language: str, *fields: str) -> Utterance:
+def _utterance(*fields: str) -> Utterance:
     uid, domain, intent, markup = (f.strip() for f in fields)
-    if not uid or not domain or not intent:
-        raise ValueError("empty id, domain, or intent field")
     tokens, slots = _parse_markup(markup)
-    return Utterance(uid, language, domain, intent, tokens, slots)
+    return Utterance(uid, domain, intent, tokens, slots)
 
 
 def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
@@ -180,7 +181,7 @@ def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
 
 
 def serialize_utterance(utterance: Utterance) -> str:
-    """Inverse of `parse_annotated_line` (the language is not written)."""
+    """Inverse of `parse_annotated_line`."""
     by_start = {s.start: s for s in utterance.slots}
     parts: list[str] = []
     i = 0
@@ -299,12 +300,12 @@ def write_lines(path, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def load_corpus(path, language: str = "") -> list[Utterance]:
+def load_corpus(path) -> list[Utterance]:
     """Read an annotated corpus file; ids must be unique within the file."""
     seen: set[str] = set()
 
     def utterance(*fields: str) -> Utterance:
-        u = _utterance(language, *fields)
+        u = _utterance(*fields)
         if u.id in seen:
             raise ValueError("duplicate utterance id %r" % u.id)
         seen.add(u.id)
@@ -592,7 +593,6 @@ def sample_grammar(
     catalogs: Mapping[str, Catalog],
     n: int,
     seed: int,
-    language: str = "",
     id_prefix: str = "g",
 ) -> list[Utterance]:
     """Draw `n` annotated utterances from weighted grammar templates.
@@ -628,7 +628,6 @@ def sample_grammar(
         out.append(
             Utterance(
                 "%s%06d" % (id_prefix, i),
-                language,
                 template.domain,
                 template.intent,
                 tuple(tokens),

@@ -108,9 +108,7 @@ def translated(corpus: Iterable[Utterance], translator: Translator, removed: lis
             yield u, result
 
 
-def project_corpus(
-    corpus: Sequence[Utterance], forward: Translator, target_language: str = ""
-) -> FilterOutcome:
+def project_corpus(corpus: Sequence[Utterance], forward: Translator) -> FilterOutcome:
     """Translate each utterance with `forward` and carry its annotations onto
     the translation (see `project_annotations`).  A missing translation
     removes the utterance with NO_TRANSLATION, a rejected projection with the
@@ -119,7 +117,7 @@ def project_corpus(
     removed: list[tuple[str, str]] = []
     for u, result in translated(corpus, forward, removed):
         try:
-            kept.append(project_annotations(u, result, target_language))
+            kept.append(project_annotations(u, result))
         except ProjectionRejected as rejection:
             removed.append((u.id, rejection.reason))
     return FilterOutcome(kept, removed)
@@ -131,7 +129,6 @@ def roundtrip_filter(
     backward: Translator,
     source_nlu: tuple[CrfModel | None, MaxEntModel],
     config: FilterConfig,
-    target_language: str = "",
 ) -> FilterOutcome:
     """Keep utterances whose interpretation survives a translation round trip.
 
@@ -148,7 +145,7 @@ def roundtrip_filter(
     crf, maxent = source_nlu
     if crf is None and config.mode == MODE_INTENT_SLOTS:
         raise ValueError("the %s filter mode needs a source slot tagger" % MODE_INTENT_SLOTS)
-    projection = project_corpus(source_corpus, forward, target_language)
+    projection = project_corpus(source_corpus, forward)
     position = {u.id: i for i, u in enumerate(source_corpus)}
     kept: list[Utterance] = []
     removed = projection.removed
@@ -189,7 +186,6 @@ def roundtrip_filter(
 class DomainStats:
     """Mean and population stdev of normalized scores in one domain."""
 
-    domain: str
     mean: float
     stdev: float
     count: int
@@ -218,12 +214,12 @@ def _normalized(u: Utterance, translations: Mapping[str, TranslationResult]) -> 
 def compute_domain_stats(
     corpus: Sequence[Utterance], translations: Mapping[str, TranslationResult]
 ) -> dict[str, DomainStats]:
-    """Per-domain mean and population stdev of normalized scores."""
+    """Mean and population stdev of normalized scores, by domain."""
     by_domain: dict[str, list[float]] = {}
     for u in corpus:
         by_domain.setdefault(u.domain, []).append(_normalized(u, translations))
     return {
-        d: DomainStats(d, statistics.fmean(xs), statistics.pstdev(xs), len(xs))
+        d: DomainStats(statistics.fmean(xs), statistics.pstdev(xs), len(xs))
         for d, xs in by_domain.items()
     }
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, Matrix, Utterance
+from ..corpus import Catalog, Matrix, Utterance, check_field
 from .features import Gazetteers, intent_features
 from .modelio import design_matrix, feature_ids, load_model, logsumexp, save_model
 from .optim import TrainingConfig, minimize
@@ -35,9 +35,8 @@ class MaxEntModel:
             raise ValueError("intent set must be non-empty")
         if len(set(self.intents)) < len(self.intents):
             raise ValueError("intent set repeats an intent")
-        for intent in self.intents:  # what the intent field of a corpus line can hold
-            if not intent or intent != intent.strip() or any(c in intent for c in "\t\r\n"):
-                raise ValueError("invalid intent: %r" % intent)
+        for intent in self.intents:
+            check_field(intent, "intent")
         if self.weights.shape != (len(self.feature_index), len(self.intents)):
             raise ValueError("weights shape mismatch")
         if not np.all(np.isfinite(self.weights)):

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import Catalog, NonNegative, checked, parse, read_json
+from ..corpus import Catalog, NonNegative, checked, parse, read_json, write_lines
 from ..errors import FormatError
 
 
@@ -51,7 +51,7 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     is_top = a == top
     m = is_top.sum(axis, keepdims=True, dtype=a.dtype)
     s = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis, keepdims=True)
-    s = np.where(s == 0, s, s / m)
+    s = s / m
     return np.squeeze(np.log1p(s) + np.log(m) + top, axis)
 
 
@@ -74,9 +74,8 @@ def save_model(model, path, fmt: str, keys: Iterable[str]) -> None:
         format=fmt, version=1, l2=model.l2, features=sorted(index, key=index.__getitem__),
         gazetteers=_catalogs_json(model.gazetteers),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
-        fh.write("\n")
+    write_lines(path, [json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                  default=np.ndarray.tolist)])
 
 
 def load_model(cls, path, fmt: str, keys: Mapping[str, object],

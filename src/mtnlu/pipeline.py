@@ -317,9 +317,7 @@ def _stage_translate(config: PipelineConfig, state: PipelineResult, out: Path):
 
 
 def _stage_project(config: PipelineConfig, state: PipelineResult, out: Path):
-    return project_corpus(
-        state.corpus, FileTranslator(state.translations), config.target_language
-    )
+    return project_corpus(state.corpus, FileTranslator(state.translations))
 
 
 def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -331,14 +329,8 @@ def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: P
                                      "MaxEnt intent classifier (stage filter-semantic)")
     corpus_ids = {u.id for u in state.corpus}
     survivors = [u for u in state.source if u.id in corpus_ids]
-    return roundtrip_filter(
-        survivors,
-        FileTranslator(state.translations),
-        state.backward,
-        (crf, maxent),
-        config.filter,
-        target_language=config.target_language,
-    )
+    return roundtrip_filter(survivors, FileTranslator(state.translations), state.backward,
+                            (crf, maxent), config.filter)
 
 
 def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path):
@@ -378,7 +370,7 @@ def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
     for u in state.test:
         hyp = hypotheses[u.id]
         rendered = serialize_utterance(
-            Utterance(u.id, u.language, u.domain, hyp.intent, u.tokens, hyp.slots)
+            Utterance(u.id, u.domain, hyp.intent, u.tokens, hyp.slots)
         )
         lines.append("%s\t%.6f" % (rendered, hyp.intent_confidence))
     write_lines(out / "hypotheses.tsv", lines)
@@ -406,8 +398,8 @@ _STAGES: dict[str, tuple[set[str], str | None, Callable[..., FilterOutcome | Non
 STAGES = tuple(_STAGES)
 
 
-def _nonempty(what: str, load: Callable, path: str, *args):
-    items = load(path, *args)
+def _nonempty(what: str, load: Callable, path: str):
+    items = load(path)
     if not items:
         raise FormatError("the " + what, path=path)
     return items
@@ -451,9 +443,9 @@ def _load_catalogs(config: PipelineConfig) -> dict[str, Catalog]:
 # it runs, so that a tracer or a test can replace it by name.
 _INPUTS: dict[str, tuple[Callable[[PipelineConfig], object], str | None, Callable]] = {
     "source": (lambda c: c.source_corpus, "a source_corpus", lambda c, loaded: _nonempty(
-        "corpus has no utterances", load_corpus, c.source_corpus, c.source_language)),
+        "corpus has no utterances", load_corpus, c.source_corpus)),
     "test": (lambda c: c.test_corpus, "a test_corpus", lambda c, loaded: _nonempty(
-        "corpus has no utterances", load_corpus, c.test_corpus, c.target_language)),
+        "corpus has no utterances", load_corpus, c.test_corpus)),
     "models": (lambda c: c.out_dir, None, lambda c, loaded: _load_models(Path(c.out_dir))),
     "catalogs": (lambda c: c.catalogs, None, lambda c, loaded: _load_catalogs(c)),
     "source_catalogs": (lambda c: c.source_catalogs, None,

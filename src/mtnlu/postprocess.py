@@ -72,14 +72,8 @@ def replace_slot_values(
         slots.append(make_span(tokens, span.slot_type, start, len(tokens)))
         cursor = span.end
     tokens.extend(utterance.tokens[cursor:])
-    return Utterance(
-        utterance.id,
-        utterance.language,
-        utterance.domain,
-        utterance.intent,
-        tuple(tokens),
-        tuple(slots),
-    )
+    return Utterance(utterance.id, utterance.domain, utterance.intent, tuple(tokens),
+                     tuple(slots))
 
 
 def _stream(seed: int, purpose: str, uid: str) -> random.Random:

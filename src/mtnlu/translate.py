@@ -58,14 +58,14 @@ def combined_score(components: Sequence[float], weights: Sequence[float]) -> flo
 
 @dataclass(frozen=True, slots=True)
 class TranslationResult:
-    """Target tokens plus source-to-target word alignment and scores.
+    """Target tokens plus source-to-target word alignment and scores.  The
+    translation of an utterance is stored under the utterance's id.
 
     Alignment pairs are (source index, target index).  Target indices are
     validated here; source indices against the source utterance by
     `check_alignment`.
     """
 
-    source_id: str
     target_tokens: tuple[str, ...]
     alignment: frozenset[tuple[int, int]]
     scores: TranslationScores
@@ -74,12 +74,10 @@ class TranslationResult:
         object.__setattr__(self, "target_tokens", tuple(self.target_tokens))
         object.__setattr__(self, "alignment", frozenset(self.alignment))
         if not self.target_tokens:
-            raise ValueError("translation of %s has no target tokens" % self.source_id)
+            raise ValueError("translation has no target tokens")
         for s, t in self.alignment:
             if s < 0 or t < 0 or t >= len(self.target_tokens):
-                raise ValueError(
-                    "alignment pair %d-%d out of range in %s" % (s, t, self.source_id)
-                )
+                raise ValueError("alignment pair %d-%d out of range" % (s, t))
 
 
 class BigramLM:
@@ -225,7 +223,7 @@ def _span_options(tokens: Sequence[str], model: PhraseTableModel):
     return options
 
 
-def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") -> TranslationResult:
+def decode(tokens: Sequence[str], model: PhraseTableModel) -> TranslationResult:
     """Best-scoring translation of `tokens` under the model.
 
     A phrase is placed only when its start is within `max_jump` of the
@@ -313,7 +311,7 @@ def decode(tokens: Sequence[str], model: PhraseTableModel, source_id: str = "") 
         for s in range(i, j)
         for t in range(k, l)
     )
-    return TranslationResult(source_id, complete.target, alignment, scores)
+    return TranslationResult(complete.target, alignment, scores)
 
 
 # --- projection -------------------------------------------------------------
@@ -326,9 +324,7 @@ def check_alignment(source: Utterance, result: TranslationResult) -> None:
             raise ValueError("alignment source index %d out of range for %s" % (s, source.id))
 
 
-def project_annotations(
-    source: Utterance, result: TranslationResult, target_language: str = ""
-) -> Utterance:
+def project_annotations(source: Utterance, result: TranslationResult) -> Utterance:
     """Carry intent, domain, and slots from `source` onto the translation.
 
     Each slot maps to the smallest contiguous target range covering all
@@ -336,10 +332,6 @@ def project_annotations(
     ProjectionRejected(UNALIGNED_SLOT) when a slot has no aligned target
     token and ProjectionRejected(OVERLAP) when two projected spans collide.
     """
-    if result.source_id and source.id != result.source_id:
-        raise ValueError(
-            "source id %r does not match translation %r" % (source.id, result.source_id)
-        )
     check_alignment(source, result)
     projected = []
     for slot in source.slots:
@@ -355,14 +347,8 @@ def project_annotations(
             raise ProjectionRejected(OVERLAP, slot_type)
         spans.append(make_span(result.target_tokens, slot_type, start, end))
         prev_end = end
-    return Utterance(
-        source.id,
-        target_language,
-        source.domain,
-        source.intent,
-        result.target_tokens,
-        tuple(spans),
-    )
+    return Utterance(source.id, source.domain, source.intent, result.target_tokens,
+                     tuple(spans))
 
 
 # --- translation files ------------------------------------------------------
@@ -376,18 +362,20 @@ def load_translations(path) -> dict[str, TranslationResult]:
     Duplicate ids keep the last line and are logged.
     """
     records = read_records(path, _translation, (8,))
-    results = {r.source_id: r for r in records}
+    results = dict(records)
     if len(results) < len(records):
         log.warning("%s: %d duplicate translation id(s); kept the last",
                     path, len(records) - len(results))
     return results
 
 
-def _translation(uid: str, target: str, alignment: str, *scores: str) -> TranslationResult:
+def _translation(uid: str, target: str, alignment: str,
+                 *scores: str) -> tuple[str, TranslationResult]:
     pairs = frozenset(number(chunk, "alignment pair", _alignment_pair)
                       for chunk in alignment.split())
-    return TranslationResult(uid.strip(), tuple(target.split()), pairs,
-                             TranslationScores(*(number(s, "score field") for s in scores)))
+    return uid.strip(), TranslationResult(
+        tuple(target.split()), pairs,
+        TranslationScores(*(number(s, "score field") for s in scores)))
 
 
 def _alignment_pair(chunk: str) -> tuple[int, int]:
@@ -441,4 +429,4 @@ class PhraseTableTranslator:
         self._model = model
 
     def translate(self, tokens, source_id):
-        return decode(tokens, self._model, source_id)
+        return decode(tokens, self._model)

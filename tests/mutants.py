@@ -30,11 +30,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _SOURCE = '''\
     "source": (lambda c: c.source_corpus, "a source_corpus", lambda c, loaded: _nonempty(
-        "corpus has no utterances", load_corpus, c.source_corpus, c.source_language)),
+        "corpus has no utterances", load_corpus, c.source_corpus)),
 '''
 _TEST = '''\
     "test": (lambda c: c.test_corpus, "a test_corpus", lambda c, loaded: _nonempty(
-        "corpus has no utterances", load_corpus, c.test_corpus, c.target_language)),
+        "corpus has no utterances", load_corpus, c.test_corpus)),
 '''
 
 # (file under src/mtnlu, old text, new text)
@@ -42,7 +42,11 @@ MUTANTS = [
     ("nlu/optim.py", "alpha *= 0.5", "alpha *= 0.7"),
     ("nlu/optim.py", "_HISTORY = 10", "_HISTORY = 5"),
     ("nlu/optim.py", "_ARMIJO_C = 1e-4", "_ARMIJO_C = 0.0"),
+    ("nlu/optim.py", "_MAX_BACKTRACKS = 60", "_MAX_BACKTRACKS = 30"),
     ("filtering.py", "s.value.lower()", "s.value"),
+    # a round trip whose confidence equals the threshold is dropped
+    ("filtering.py", "back_posteriors.get(ref_intent, 0.0) < config.confidence_threshold",
+     "back_posteriors.get(ref_intent, 0.0) <= config.confidence_threshold"),
     ("nlu/crf.py", "scale[t] >= _TINY", "scale[t] > 0"),
     ("translate.py", "hyp.target + tgt < kept.target", "hyp.target + tgt > kept.target"),
     ("translate.py", "score > kept.score", "score >= kept.score"),

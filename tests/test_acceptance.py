@@ -80,7 +80,7 @@ def _ref(intent, slot_pairs, uid="u1", domain="D"):
         tokens.extend(words)
         spans.append(SlotSpan(slot_type, start, start + len(words), value))
     tokens.append("end")
-    return Utterance(uid, "", domain, intent, tuple(tokens), tuple(spans))
+    return Utterance(uid, domain, intent, tuple(tokens), tuple(spans))
 
 
 def _hyp(intent, slot_pairs, confidence=1.0):
@@ -164,7 +164,7 @@ def _random_tagger(rng, seed, slot_types=("City", "Song")):
         slots = []
         if rng.random() < 0.7:
             slots.append(make_span(tokens, rng.choice(slot_types), 0, 1))
-        corpus.append(Utterance("u%d" % k, "", "D", "I", tokens, tuple(slots)))
+        corpus.append(Utterance("u%d" % k, "D", "I", tokens, tuple(slots)))
     model = train_slot_tagger(corpus, TrainingConfig(max_iterations=0))
     gen = np.random.default_rng(seed)
     model.emissions = gen.normal(0, 0.8, model.emissions.shape)
@@ -250,7 +250,7 @@ def test_criterion_3_gradients_match_finite_differences():
     for seed in range(20):
         corpus = [
             Utterance(
-                "u%d" % i, "", "D", rng.choice(intents),
+                "u%d" % i, "D", rng.choice(intents),
                 tuple(rng.choice(_VOCAB) for _ in range(rng.randint(1, 4))),
             )
             for i in range(8)
@@ -361,9 +361,9 @@ def test_criterion_4_decoder_matches_enumeration():
 
 def _scored(uid, domain, total, length=1):
     target = tuple("t%d" % i for i in range(length))
-    u = Utterance(uid, "", domain, "I", ("s",))
+    u = Utterance(uid, domain, "I", ("s",))
     r = TranslationResult(
-        uid, target, frozenset({(0, 0)}),
+        target, frozenset({(0, 0)}),
         TranslationScores(0.0, 0.0, 0.0, 0.0, total),
     )
     return u, r
@@ -449,7 +449,7 @@ def test_criterion_6_corruption_experiment():
     maxent = train_intent_classifier(source, hyper, gazetteers=gazetteers)
     outcome = roundtrip_filter(
         source, forward, backward, (crf, maxent),
-        FilterConfig(mode="INTENT"), target_language="de",
+        FilterConfig(mode="INTENT"),
     )
 
     removed_ids = {uid for uid, _ in outcome.removed}
@@ -470,7 +470,7 @@ def test_criterion_6_corruption_experiment():
         hyps = {u.id: predict(crf_t, maxent_t, u.tokens) for u in test}
         return semer(test, hyps).overall.semer
 
-    unfiltered = [project_annotations(u, results[u.id], "de") for u in source]
+    unfiltered = [project_annotations(u, results[u.id]) for u in source]
     semer_unfiltered = train_and_score(unfiltered)
     semer_filtered = train_and_score(outcome.kept)
     if semer_filtered > semer_unfiltered:
@@ -507,7 +507,7 @@ def test_criterion_7_postprocess():
     for i in range(10000):
         tokens = ("wetter", "in", "paris")
         corpus.append(Utterance(
-            "u%06d" % i, "de", "Info", "GetWeather", tokens,
+            "u%06d" % i, "Info", "GetWeather", tokens,
             (make_span(tokens, "City", 2, 3),),
         ))
     out = resample_slots(
@@ -520,10 +520,10 @@ def test_criterion_7_postprocess():
 
     # retention puts source values back in place of translated ones
     src_tokens = ("play", "we", "are", "the", "champions")
-    src = Utterance("s1", "en", "Music", "PlayMusic", src_tokens,
+    src = Utterance("s1", "Music", "PlayMusic", src_tokens,
                     (make_span(src_tokens, "MediaName", 1, 5),))
     tgt_tokens = ("spiel", "wir", "sind", "die", "meister")
-    tgt = Utterance("s1", "de", "Music", "PlayMusic", tgt_tokens,
+    tgt = Utterance("s1", "Music", "PlayMusic", tgt_tokens,
                     (make_span(tgt_tokens, "MediaName", 1, 5),))
     retained = retain_original_slots(
         [tgt], [src],
@@ -556,7 +556,7 @@ def test_criterion_7_postprocess():
                 tokens.append("f%d" % rng.randint(0, 9))
         tokens = tuple(tokens)
         u = Utterance(
-            "c%d" % case, "", "D", "I", tokens,
+            "c%d" % case, "D", "I", tokens,
             tuple(make_span(tokens, t, s, e) for t, s, e in spans),
         )
         out = resample_slots(

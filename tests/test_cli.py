@@ -376,7 +376,7 @@ class TestRunCommands:
 
     def test_translate_and_project_record_their_removals(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path, n_train=20, n_test=5)
-        corpus = load_corpus(tmp_path / "train.tsv", "en")
+        corpus = load_corpus(tmp_path / "train.tsv")
         results, _ = toytask.forward_results(corpus)
         unaligned, missing = corpus[1], corpus[3]
         del results[missing.id]
@@ -516,8 +516,7 @@ class TestSampleGrammar:
         paths = toytask.write_task_files(tmp_path)
         out = str(tmp_path / "sampled.tsv")
         argv = ["sample-grammar", "--grammar", paths["grammar_train"],
-                "--count", "25", "--seed", "3", "--language", "en",
-                "--out", out]
+                "--count", "25", "--seed", "3", "--out", out]
         for c in paths["source_catalogs"]:
             argv += ["--catalog", c]
         assert main(argv) == 0
@@ -551,6 +550,27 @@ class TestSampleGrammar:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: %s:3: " % catalog) and err.count("\n") == 1, err
+        assert not (tmp_path / "x.tsv").exists()
+
+    @pytest.mark.parametrize("prefix", ["a\tb", "x\ny", "x\ry", " g"])
+    def test_id_prefix_a_corpus_line_cannot_hold_exits_one(self, tmp_path, capsys, prefix):
+        # a tab or line break would split the written line; a leading space
+        # would be stripped when the corpus is read back
+        paths = toytask.write_task_files(tmp_path)
+        argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
+                "--id-prefix", prefix, "--out", str(tmp_path / "x.tsv")]
+        for c in paths["source_catalogs"]:
+            argv += ["--catalog", c]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid utterance id: %r\n" % (prefix + "000000"), err
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_language_option_is_gone(self, tmp_path, capsys):
+        paths = toytask.write_task_files(tmp_path)
+        assert main(["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
+                     "--language", "en", "--out", str(tmp_path / "x.tsv")]) == 1
+        assert "unrecognized arguments: --language en" in capsys.readouterr().err
         assert not (tmp_path / "x.tsv").exists()
 
 

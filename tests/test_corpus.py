@@ -30,11 +30,10 @@ class TestParse:
             "u1\tMusic\tPlayMusic\t"
             "play [we are the champions](SongName) by [queen](ArtistName)"
         )
-        u = parse_annotated_line(line, language="en")
+        u = parse_annotated_line(line)
         assert u.id == "u1"
         assert u.domain == "Music"
         assert u.intent == "PlayMusic"
-        assert u.language == "en"
         assert u.tokens == ("play", "we", "are", "the", "champions", "by", "queen")
         assert u.slots == (
             SlotSpan("SongName", 1, 5, "we are the champions"),
@@ -78,7 +77,7 @@ class TestParse:
 
 class TestSerialize:
     def test_no_slots_joins_tokens(self):
-        u = Utterance("u9", "", "D", "I", ("turn", "it", "up"))
+        u = Utterance("u9", "D", "I", ("turn", "it", "up"))
         assert serialize_utterance(u) == "u9\tD\tI\tturn it up"
 
     def test_round_trip_exact_line(self):
@@ -106,8 +105,8 @@ class TestSerialize:
                     i = j
                 else:
                     i += 1
-            u = Utterance("u%d" % case, "xx", "Dom", "Int", tokens, tuple(slots))
-            again = parse_annotated_line(serialize_utterance(u), language="xx")
+            u = Utterance("u%d" % case, "Dom", "Int", tokens, tuple(slots))
+            again = parse_annotated_line(serialize_utterance(u))
             assert again == u, "round trip failed for %r" % (u,)
 
 
@@ -116,7 +115,7 @@ class TestUtteranceInvariants:
         tokens = ("a", "b", "c")
         with pytest.raises(ValueError):
             Utterance(
-                "u1", "", "D", "I", tokens,
+                "u1", "D", "I", tokens,
                 (make_span(tokens, "X", 0, 2), make_span(tokens, "Y", 1, 3)),
             )
 
@@ -124,29 +123,41 @@ class TestUtteranceInvariants:
         tokens = ("a", "b", "c")
         with pytest.raises(ValueError):
             Utterance(
-                "u1", "", "D", "I", tokens,
+                "u1", "D", "I", tokens,
                 (make_span(tokens, "X", 2, 3), make_span(tokens, "Y", 0, 1)),
             )
 
     def test_out_of_range_slot_rejected(self):
         with pytest.raises(ValueError):
-            Utterance("u1", "", "D", "I", ("a",), (SlotSpan("X", 0, 2, "a b"),))
+            Utterance("u1", "D", "I", ("a",), (SlotSpan("X", 0, 2, "a b"),))
 
     def test_value_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Utterance("u1", "", "D", "I", ("a", "b"), (SlotSpan("X", 0, 1, "b"),))
+            Utterance("u1", "D", "I", ("a", "b"), (SlotSpan("X", 0, 1, "b"),))
 
     def test_whitespace_token_rejected(self):
         with pytest.raises(ValueError):
-            Utterance("u1", "", "D", "I", ("a b",))
+            Utterance("u1", "D", "I", ("a b",))
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(ValueError):
-            Utterance("u1", "", "D", "I", ())
+            Utterance("u1", "D", "I", ())
 
     def test_bracket_token_rejected(self):
         with pytest.raises(ValueError):
-            Utterance("u1", "", "D", "I", ("a[b",))
+            Utterance("u1", "D", "I", ("a[b",))
+
+    @pytest.mark.parametrize("value", ["", " u", "u ", "a\tb", "a\rb", "a\nb"])
+    @pytest.mark.parametrize("field,what", [(0, "utterance id"), (1, "domain"), (2, "intent")])
+    def test_a_field_no_corpus_line_can_hold_is_rejected(self, field, what, value):
+        fields = ["u1", "D", "I"]
+        fields[field] = value
+        with pytest.raises(ValueError, match=r"^invalid %s: " % what):
+            Utterance(*fields, ("a",))
+
+    def test_a_field_may_hold_inner_spaces(self):
+        u = Utterance("u 1", "Home Automation", "Turn On", ("a",))
+        assert parse_annotated_line(serialize_utterance(u)) == u
 
 
 class TestCorpusFiles:
@@ -159,16 +170,16 @@ class TestCorpusFiles:
             "u2\tGlobal\tResume\tweiter\n",
             encoding="utf-8",
         )
-        corpus = load_corpus(path, language="de")
+        corpus = load_corpus(path)
         assert [u.id for u in corpus] == ["u1", "u2"]
         out = tmp_path / "out.tsv"
         save_corpus(corpus, out)
-        assert load_corpus(out, language="de") == corpus
+        assert load_corpus(out) == corpus
 
     def test_save_is_deterministic(self, tmp_path):
         corpus = [
-            Utterance("u1", "", "D", "I", ("a", "b"), (SlotSpan("X", 0, 1, "a"),)),
-            Utterance("u2", "", "D", "J", ("c",)),
+            Utterance("u1", "D", "I", ("a", "b"), (SlotSpan("X", 0, 1, "a"),)),
+            Utterance("u2", "D", "J", ("c",)),
         ]
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         save_corpus(corpus, p1)

@@ -44,7 +44,7 @@ def random_corpus(rng, n_utterances, slot_types=("City", "Song")):
             else:
                 i += 1
         corpus.append(
-            Utterance("u%d" % k, "", "D", "I", tokens, tuple(slots))
+            Utterance("u%d" % k, "D", "I", tokens, tuple(slots))
         )
     return corpus
 
@@ -295,14 +295,14 @@ class TestViterbi:
             tokens = tuple(rng.choice(VOCAB) for _ in range(rng.randint(1, 6)))
             spans = tag_slots(model, tokens)
             # constructing an Utterance revalidates ordering/bounds/values
-            Utterance("t", "", "D", "I", tokens, spans)
+            Utterance("t", "D", "I", tokens, spans)
 
 
 class TestBio:
     def test_encode(self):
         tokens = ("play", "we", "are", "the", "champions", "by", "queen")
         u = Utterance(
-            "u1", "", "Music", "PlayMusic", tokens,
+            "u1", "Music", "PlayMusic", tokens,
             (make_span(tokens, "SongName", 1, 5), make_span(tokens, "ArtistName", 6, 7)),
         )
         assert bio_encode(u) == [
@@ -333,11 +333,11 @@ class TestTraining:
     def test_reproduces_labels_on_replicated_utterance(self):
         tokens = ("play", "we", "are", "the", "champions", "by", "queen")
         u = Utterance(
-            "u1", "", "Music", "PlayMusic", tokens,
+            "u1", "Music", "PlayMusic", tokens,
             (make_span(tokens, "SongName", 1, 5), make_span(tokens, "ArtistName", 6, 7)),
         )
         corpus = [
-            Utterance("u%d" % i, "", u.domain, u.intent, u.tokens, u.slots)
+            Utterance("u%d" % i, u.domain, u.intent, u.tokens, u.slots)
             for i in range(20)
         ]
         model = train_slot_tagger(corpus, TrainingConfig(l2=1e-4, max_iterations=100))
@@ -401,7 +401,7 @@ class TestTraining:
         (train_intent_classifier, "MaxEnt intent classifier"),
     ])
     def test_stopping_at_the_iteration_cap_logs_one_warning(self, caplog, train, name):
-        corpus = [Utterance(u.id, u.language, u.domain, "I%d" % (k % 2), u.tokens, u.slots)
+        corpus = [Utterance(u.id, u.domain, "I%d" % (k % 2), u.tokens, u.slots)
                   for k, u in enumerate(random_corpus(random.Random(17), 12))]
         with caplog.at_level(logging.WARNING):
             train(corpus, TrainingConfig(max_iterations=3))

@@ -155,9 +155,9 @@ class TestGazetteerIndex:
         gazetteers = {"City": catalog("City", "Berlin", "new york"),
                       "Song": catalog("Song", "new york new york")}
         corpus = [
-            Utterance("u1", "", "D", "Go", ("fly", "to", "berlin"),
+            Utterance("u1", "D", "Go", ("fly", "to", "berlin"),
                       (make_span(("fly", "to", "berlin"), "City", 2, 3),)),
-            Utterance("u2", "", "D", "Play", ("play", "new", "york", "new", "york"),
+            Utterance("u2", "D", "Play", ("play", "new", "york", "new", "york"),
                       (make_span(("play", "new", "york", "new", "york"), "Song", 1, 5),)),
         ]
         hyper = TrainingConfig(max_iterations=3)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mtnlu.corpus import Utterance, make_span
@@ -27,7 +28,8 @@ from mtnlu.filtering import (
     roundtrip_filter,
     score_filter,
 )
-from mtnlu.nlu import TrainingConfig, train_intent_classifier, train_slot_tagger
+from mtnlu.nlu import (MaxEntModel, TrainingConfig, intent_posteriors,
+                       train_intent_classifier, train_slot_tagger)
 from mtnlu.translate import UNALIGNED_SLOT, TranslationResult, TranslationScores
 import toytask
 
@@ -41,7 +43,7 @@ def zero_scores(total=0.0):
 class IdentityTranslator:
     def translate(self, tokens, source_id):
         return TranslationResult(
-            source_id, tuple(tokens),
+            tuple(tokens),
             frozenset((i, i) for i in range(len(tokens))), zero_scores(),
         )
 
@@ -58,14 +60,14 @@ class MappingTranslator:
             return None
         m = min(len(tokens), len(tgt))
         return TranslationResult(
-            source_id, tgt, frozenset((i, i) for i in range(m)), zero_scores()
+            tgt, frozenset((i, i) for i in range(m)), zero_scores()
         )
 
 
 def utt(uid, intent, text, slots=(), domain="D"):
     tokens = tuple(text.split())
     spans = tuple(make_span(tokens, t, a, b) for t, a, b in slots)
-    return Utterance(uid, "en", domain, intent, tokens, spans)
+    return Utterance(uid, domain, intent, tokens, spans)
 
 
 def train_nlu(corpus):
@@ -93,14 +95,13 @@ class TestRoundtripFilter:
                   utt("u2", "Resume", "resume")]
         out = roundtrip_filter(
             corpus, IdentityTranslator(), IdentityTranslator(), nlu,
-            FilterConfig(mode=MODE_INTENT), target_language="de",
+            FilterConfig(mode=MODE_INTENT),
         )
         assert out.removed == []
         assert [u.id for u in out.kept] == ["u1", "u2"]
         # kept utterances are the projected targets
         assert out.kept[0].tokens == corpus[0].tokens
         assert out.kept[0].slots == corpus[0].slots
-        assert out.kept[0].language == "de"
         assert out.kept[0].id == "u1"
 
     def test_ambiguous_back_translation_flips_intent(self):
@@ -136,7 +137,7 @@ class TestRoundtripFilter:
         class DropAlignment:
             def translate(self, tokens, source_id):
                 return TranslationResult(
-                    source_id, ("spiel",), frozenset({(0, 0)}), zero_scores()
+                    ("spiel",), frozenset({(0, 0)}), zero_scores()
                 )
 
         corpus = [utt("u1", "Play", "play queen", [("Artist", 1, 2)])]
@@ -217,6 +218,16 @@ class TestRoundtripFilter:
             FilterConfig(mode=MODE_INTENT_CONFIDENCE, confidence_threshold=0.0),
         )
         assert out.removed == [("u1", INTENT_MISMATCH)]
+
+    def test_a_confidence_equal_to_the_threshold_is_kept(self):
+        # an all-zero MaxEnt over two intents gives each exactly 0.5
+        maxent = MaxEntModel(("A", "B"), {}, np.zeros((0, 2)))
+        assert intent_posteriors(maxent, ("resume",)) == {"A": 0.5, "B": 0.5}
+        out = roundtrip_filter(
+            [utt("u1", "A", "resume")], IdentityTranslator(), IdentityTranslator(),
+            (None, maxent), FilterConfig(mode=MODE_INTENT_CONFIDENCE, confidence_threshold=0.5),
+        )
+        assert [u.id for u in out.kept] == ["u1"] and out.removed == []
 
     def test_gold_label_comparison(self):
         # identity round trip, but the corpus label disagrees with the NLU:
@@ -339,7 +350,7 @@ def scored_corpus():
     corpus = [utt("u%d" % i, "I", "w", domain="Music") for i in (1, 2, 3, 4)]
     translations = {
         "u%d" % i: TranslationResult(
-            "u%d" % i, ("x",), frozenset(), zero_scores(total=-float(i))
+            ("x",), frozenset(), zero_scores(total=-float(i))
         )
         for i in (1, 2, 3, 4)
     }
@@ -371,7 +382,7 @@ class TestDomainStats:
     def test_single_utterance_domain_has_zero_stdev(self):
         corpus = [utt("u1", "I", "w", domain="Solo")]
         translations = {
-            "u1": TranslationResult("u1", ("x",), frozenset(), zero_scores(-2.0))
+            "u1": TranslationResult(("x",), frozenset(), zero_scores(-2.0))
         }
         st = compute_domain_stats(corpus, translations)["Solo"]
         assert st.mean == -2.0 and st.stdev == 0.0 and st.count == 1
@@ -383,9 +394,9 @@ class TestDomainStats:
             utt("c", "I", "w", domain="X"),
         ]
         translations = {
-            "a": TranslationResult("a", ("x",), frozenset(), zero_scores(-1.0)),
-            "b": TranslationResult("b", ("x",), frozenset(), zero_scores(-9.0)),
-            "c": TranslationResult("c", ("x",), frozenset(), zero_scores(-3.0)),
+            "a": TranslationResult(("x",), frozenset(), zero_scores(-1.0)),
+            "b": TranslationResult(("x",), frozenset(), zero_scores(-9.0)),
+            "c": TranslationResult(("x",), frozenset(), zero_scores(-3.0)),
         }
         stats = compute_domain_stats(corpus, translations)
         assert stats["X"].mean == -2.0 and stats["X"].count == 2
@@ -421,10 +432,10 @@ class TestScoreFilter:
         # normalized score exactly at mean + k*stdev is kept
         corpus = [utt("a", "I", "w"), utt("b", "I", "w")]
         translations = {
-            "a": TranslationResult("a", ("x",), frozenset(), zero_scores(-1.0)),
-            "b": TranslationResult("b", ("x",), frozenset(), zero_scores(-3.0)),
+            "a": TranslationResult(("x",), frozenset(), zero_scores(-1.0)),
+            "b": TranslationResult(("x",), frozenset(), zero_scores(-3.0)),
         }
-        stats = {"D": DomainStats("D", -2.0, 1.0, 2)}
+        stats = {"D": DomainStats(-2.0, 1.0, 2)}
         out = score_filter(corpus, translations, stats, k=-1.0)
         assert [u.id for u in out.kept] == ["a", "b"]
 
@@ -437,7 +448,7 @@ class TestScoreFilter:
             corpus.append(utt(uid, "I", "w", domain=rng.choice(["A", "B", "C"])))
             length = rng.randint(1, 6)
             translations[uid] = TranslationResult(
-                uid, tuple("t%d" % j for j in range(length)), frozenset(),
+                tuple("t%d" % j for j in range(length)), frozenset(),
                 zero_scores(rng.uniform(-30, 0)),
             )
         stats = compute_domain_stats(corpus, translations)

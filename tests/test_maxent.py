@@ -29,7 +29,7 @@ INTENTS = ["PlayMusic", "BuyItem", "GetWeather"]
 def random_intent_corpus(rng, n):
     return [
         Utterance(
-            "u%d" % i, "", "D", rng.choice(INTENTS),
+            "u%d" % i, "D", rng.choice(INTENTS),
             tuple(rng.choice(VOCAB) for _ in range(rng.randint(1, 5))),
         )
         for i in range(n)
@@ -47,8 +47,8 @@ def random_model(rng, seed, scale=0.5):
 class TestPosterior:
     def test_single_intent_confidence_is_exactly_one(self):
         corpus = [
-            Utterance("u1", "", "D", "OnlyIntent", ("hello",)),
-            Utterance("u2", "", "D", "OnlyIntent", ("bye",)),
+            Utterance("u1", "D", "OnlyIntent", ("hello",)),
+            Utterance("u2", "D", "OnlyIntent", ("bye",)),
         ]
         model = train_intent_classifier(corpus, TrainingConfig(max_iterations=5))
         intent, confidence = classify_intent(model, ("anything",))
@@ -154,8 +154,8 @@ class TestTraining:
     def test_learns_separable_corpus(self):
         corpus = []
         for i in range(10):
-            corpus.append(Utterance("a%d" % i, "", "D", "PlayMusic", ("play", "music")))
-            corpus.append(Utterance("b%d" % i, "", "D", "BuyItem", ("buy", "milk")))
+            corpus.append(Utterance("a%d" % i, "D", "PlayMusic", ("play", "music")))
+            corpus.append(Utterance("b%d" % i, "D", "BuyItem", ("buy", "milk")))
         model = train_intent_classifier(corpus, TrainingConfig(l2=1e-3, max_iterations=100))
         assert classify_intent(model, ("play", "music"))[0] == "PlayMusic"
         assert classify_intent(model, ("buy", "milk"))[0] == "BuyItem"
@@ -204,7 +204,7 @@ class TestModelIO:
 class TestPredict:
     def test_joint_hypothesis(self):
         corpus = [
-            Utterance("u%d" % i, "", "Music", "PlayMusic", ("play", "music"))
+            Utterance("u%d" % i, "Music", "PlayMusic", ("play", "music"))
             for i in range(5)
         ]
         crf = train_slot_tagger(corpus, TrainingConfig(max_iterations=5))

@@ -121,3 +121,18 @@ def test_a_step_that_does_not_lower_the_objective_enough_is_halved():
     # step reaches the minimum; a test that accepts any f <= f(x) stays put
     result = optim.minimize(lambda x: (float(x @ x), 2 * x), np.array([0.5]), 1, 1e-12)
     assert result.values == [0.25, 0.0]
+
+
+def test_a_first_step_may_be_halved_more_than_thirty_times():
+    # f = 0.5e13 * x**2 from x = 1e-12: the unit step along the gradient
+    # (10) overshoots by thirteen orders of magnitude, so Armijo accepts
+    # only the 39th halving; a search that gives up after 30 takes no step
+    evaluations = []
+
+    def fun_grad(x):
+        evaluations.append(x)
+        return 0.5e13 * float(x @ x), 1e13 * x
+
+    result = optim.minimize(fun_grad, np.array([1e-12]), 1, 1e-15)
+    assert len(evaluations) == 41 and result.iterations == 1
+    assert result.values == pytest.approx([5e-12, 3.353718215601989e-12], rel=1e-9, abs=0)

@@ -513,8 +513,8 @@ class TestStageSeed:
         run_pipeline(config)
         out = tmp_path / "out"
         written = (out / "corpus_postprocessed.tsv").read_text(encoding="utf-8").splitlines()
-        projected = load_corpus(str(out / "corpus_projected.tsv"), "de")
-        source = load_corpus(config.source_corpus, "en")
+        projected = load_corpus(str(out / "corpus_projected.tsv"))
+        source = load_corpus(config.source_corpus)
         catalogs = load_catalogs(config.catalogs)
 
         def postprocessed(seed):
@@ -552,8 +552,8 @@ class TestFullRun:
 
         # the projected corpus is the suffixed source corpus; projection keeps
         # the source id
-        projected = load_corpus(str(out / "corpus_projected.tsv"), "de")
-        source = load_corpus(str(tmp_path / "train.tsv"), "en")
+        projected = load_corpus(str(out / "corpus_projected.tsv"))
+        source = load_corpus(str(tmp_path / "train.tsv"))
         for src, tgt in zip(source, projected):
             assert tgt.tokens == toytask.translate_tokens(src.tokens)
             assert tgt.id == src.id
@@ -781,6 +781,21 @@ class TestFullRun:
         run_config(config_path, out_dir=str(tmp_path / "marked"))
         assert_same_files(tmp_path / "plain", tmp_path / "marked")
 
+    def test_the_languages_only_label_the_run(self, tmp_path):
+        # they reach the effective config and, through its fingerprint, the
+        # stage reports; no stage reads them
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        run_config(config_path, out_dir=str(tmp_path / "a"))
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        config.update(source_language="fr", target_language="it")
+        Path(config_path).write_text(json.dumps(config), encoding="utf-8")
+        run_config(config_path, out_dir=str(tmp_path / "b"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert {n for n in names if (a / n).read_bytes() != (b / n).read_bytes()} \
+            == {"effective_config.json", "stage_reports.tsv"}
+
 
 class TestReleasedInputs:
     def test_each_input_is_dropped_after_its_last_reader(self, tmp_path, monkeypatch):
@@ -804,8 +819,8 @@ class TestReleasedInputs:
     def test_per_entry_records_have_no_instance_dict(self):
         scores = TranslationScores(0.0, 0.0, 0.0, 0.0, 0.0)
         for record in (CatalogEntry(("a",), 1.0), SlotSpan("City", 0, 1, "a"),
-                       Utterance("u1", "en", "d", "i", ("a",)), scores,
-                       TranslationResult("u1", ("a",), frozenset(), scores)):
+                       Utterance("u1", "d", "i", ("a",)), scores,
+                       TranslationResult(("a",), frozenset(), scores)):
             assert not hasattr(record, "__dict__"), type(record).__name__
 
 
@@ -884,7 +899,7 @@ class TestSourceSlotTagger:
 
         config = load_pipeline_config(config_path)
         source_tagger = train_slot_tagger(
-            load_corpus(config.source_corpus, config.source_language),
+            load_corpus(config.source_corpus),
             config.training, load_catalogs(config.source_catalogs))
 
         def always_with_tagger(corpus, forward, backward, source_nlu, *args, **kwargs):

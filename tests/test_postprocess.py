@@ -30,10 +30,10 @@ def catalog(slot_type, *weighted):
     )
 
 
-def utt(uid, text, slots=(), domain="D", intent="I", language="de"):
+def utt(uid, text, slots=(), domain="D", intent="I"):
     tokens = tuple(text.split())
     spans = tuple(make_span(tokens, t, a, b) for t, a, b in slots)
-    return Utterance(uid, language, domain, intent, tokens, spans)
+    return Utterance(uid, domain, intent, tokens, spans)
 
 
 class TestReplaceSlotValues:
@@ -61,7 +61,6 @@ class TestResample:
     def test_single_entry_catalog_rewrites_value(self):
         u = parse_annotated_line(
             "u1\tWeather\tGetWeather\thow is the weather in [new york](City)",
-            language="de",
         )
         cfg = PostprocessConfig(resample_slots={"City"})
         (out,) = resample_slots([u], {"City": catalog("City", ("Berlin", 1.0))}, cfg, seed=1)
@@ -122,10 +121,10 @@ class TestResample:
 class TestRetain:
     def test_restores_source_value(self):
         source = parse_annotated_line(
-            "t1\tMusic\tPlay\tplay [we are the champions](SongName)", language="en"
+            "t1\tMusic\tPlay\tplay [we are the champions](SongName)"
         )
         translated = parse_annotated_line(
-            "t1\tMusic\tPlay\tspiel [wir sind die champions](SongName)", language="de"
+            "t1\tMusic\tPlay\tspiel [wir sind die champions](SongName)"
         )
         cfg = PostprocessConfig(retain_original_slots={"SongName"})
         (out,) = retain_original_slots([translated], [source], cfg)
@@ -137,15 +136,14 @@ class TestRetain:
         assert retain_original_slots(corpus, [], PostprocessConfig()) == corpus
 
     def test_occurrence_order_pairing(self):
-        source = utt("t1", "from a to b", [("City", 1, 2), ("City", 3, 4)], language="en")
+        source = utt("t1", "from a to b", [("City", 1, 2), ("City", 3, 4)])
         translated = utt("t1", "von x nach y", [("City", 1, 2), ("City", 3, 4)])
         cfg = PostprocessConfig(retain_original_slots={"City"})
         (out,) = retain_original_slots([translated], [source], cfg)
         assert out.slots[0].value == "a" and out.slots[1].value == "b"
 
     def test_multiplicity_mismatch_passes_through(self):
-        source = utt("t1", "play a and b", [("Artist", 1, 2), ("Artist", 3, 4)],
-                     language="en")
+        source = utt("t1", "play a and b", [("Artist", 1, 2), ("Artist", 3, 4)])
         translated = utt("t1", "spiel nur x", [("Artist", 2, 3)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         stats = {}
@@ -154,7 +152,7 @@ class TestRetain:
         assert stats == {MULTIPLICITY_MISMATCH: 1}
 
     def test_dangling_source_id_is_an_error(self):
-        source = utt("t1", "play x", [("Artist", 1, 2)], language="en")
+        source = utt("t1", "play x", [("Artist", 1, 2)])
         translated = utt("missing", "spiel x", [("Artist", 1, 2)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         with pytest.raises(ConfigError, match="missing"):
@@ -163,7 +161,7 @@ class TestRetain:
 
 def mixed_fixture(n=1, p=0.5):
     source = [
-        utt("t%d" % i, "play orig now", [("Artist", 1, 2)], language="en")
+        utt("t%d" % i, "play orig now", [("Artist", 1, 2)])
         for i in range(n)
     ]
     translated = [
@@ -179,8 +177,7 @@ def mixed_fixture(n=1, p=0.5):
 
 class TestCombined:
     def test_disjoint_sets_compose(self):
-        source = [utt("t1", "play orig by someone",
-                      [("Song", 1, 2), ("Artist", 3, 4)], language="en")]
+        source = [utt("t1", "play orig by someone", [("Song", 1, 2), ("Artist", 3, 4)])]
         translated = [utt("t1", "spiel foo von bar", [("Song", 1, 2), ("Artist", 3, 4)])]
         cats = {"Artist": catalog("Artist", ("a b", 1.0), ("c", 1.0))}
         cfg = PostprocessConfig(resample_slots={"Artist"}, retain_original_slots={"Song"})
@@ -220,14 +217,14 @@ class TestCombined:
 def golden_fixture():
     """Overlapping sets, weighted catalogs with a zero weight, and two
     multiplicity mismatches (Song in t2, City in t4)."""
-    source = [parse_annotated_line(text, language="en") for text in [
+    source = [parse_annotated_line(text) for text in [
         "t1\tMusic\tPlay\tplay [yesterday](Song) by [the beatles](Artist) in [london](City)",
         "t2\tMusic\tPlay\tplay [help](Song) and [let it be](Song) by [the beatles](Artist)",
         "t3\tInfo\tWeather\tweather in [paris](City) and [rome](City)",
         "t4\tMusic\tPlay\tplay [abba](Artist) in [oslo](City)",
         "t5\tInfo\tWeather\tweather in [new york](City) at [noon](Time)",
     ]]
-    translated = [parse_annotated_line(text, language="de") for text in [
+    translated = [parse_annotated_line(text) for text in [
         "t1\tMusic\tPlay\tspiel [gestern](Song) von [die beatles](Artist) in [londres](City)",
         "t2\tMusic\tPlay\tspiel [hilfe und lass es sein](Song) von [die beatles](Artist)",
         "t3\tInfo\tWeather\twetter in [parigi](City) und [rom](City)",
@@ -316,8 +313,8 @@ class TestInvariantsOnRandomLayouts:
             cfg = PostprocessConfig(resample_slots={"A", "B"})
             (out,) = resample_slots([u], cats, cfg, seed=case)
             # round-trips through the serialized format => invariants hold
-            assert parse_annotated_line(serialize_utterance(out), language="de") == \
-                Utterance(out.id, "de", out.domain, out.intent, out.tokens, out.slots)
+            assert parse_annotated_line(serialize_utterance(out)) == \
+                Utterance(out.id, out.domain, out.intent, out.tokens, out.slots)
             # non-slot tokens and non-configured values survive unchanged
             def outside(utterance):
                 kept, cursor = [], 0

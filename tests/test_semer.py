@@ -41,7 +41,7 @@ def ref(uid, intent, *slot_pairs, domain="D"):
     tokens = ["w%d" % i for i in range(length)]
     for s in slot_list:
         tokens[s.start : s.end] = s.value.split()
-    return Utterance(uid, "de", domain, intent, tuple(tokens), slot_list)
+    return Utterance(uid, domain, intent, tuple(tokens), slot_list)
 
 
 def hyp(intent, *slot_pairs, confidence=1.0):

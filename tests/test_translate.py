@@ -60,11 +60,11 @@ class TestCombinedScore:
 class TestTranslationResult:
     def test_alignment_out_of_range(self):
         with pytest.raises(ValueError):
-            TranslationResult("u1", ("a",), frozenset({(0, 1)}), scores_for())
+            TranslationResult(("a",), frozenset({(0, 1)}), scores_for())
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
-            TranslationResult("u1", (), frozenset(), scores_for())
+            TranslationResult((), frozenset(), scores_for())
 
 
 class TestBigramLM:
@@ -94,7 +94,7 @@ def toy_model(**kwargs):
 class TestDecode:
     def test_identity_single_token(self):
         model = PhraseTableModel.from_pairs([(("hi",), ("hi",), -0.5)])
-        r = decode(["hi"], model, "u1")
+        r = decode(["hi"], model)
         assert r.target_tokens == ("hi",)
         assert r.alignment == frozenset({(0, 0)})
         assert r.scores.tm == -0.5
@@ -290,41 +290,41 @@ class TestProjection:
                     i = j
                 else:
                     i += 1
-            u = Utterance("u%d" % case, "en", "D", "I", tokens, tuple(slots))
+            u = Utterance("u%d" % case, "D", "I", tokens, tuple(slots))
             r = TranslationResult(
-                u.id, tokens, frozenset((i, i) for i in range(n)), scores_for()
+                tokens, frozenset((i, i) for i in range(n)), scores_for()
             )
-            p = project_annotations(u, r, "de")
+            p = project_annotations(u, r)
             assert p.tokens == u.tokens
             assert p.slots == u.slots
             assert p.intent == u.intent and p.domain == u.domain
-            assert p.id == u.id and p.language == "de"
+            assert p.id == u.id
 
     def test_insertion_shifts_span(self):
         src_tokens = ("how", "is", "the", "weather", "in", "new", "york")
         u = Utterance(
-            "u1", "en", "Weather", "GetWeather", src_tokens,
+            "u1", "Weather", "GetWeather", src_tokens,
             (make_span(src_tokens, "City", 5, 7),),
         )
         tgt = ("wie", "ist", "das", "wetter", "in", "etwa", "new", "york")
         align = frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 6), (6, 7)})
-        p = project_annotations(u, TranslationResult("u1", tgt, align, scores_for()))
+        p = project_annotations(u, TranslationResult(tgt, align, scores_for()))
         assert p.slots == (make_span(tgt, "City", 6, 8),)
         assert p.slots[0].value == "new york"
 
     def test_gap_tokens_absorbed_into_span(self):
         src = ("play", "beat", "it")
-        u = Utterance("u1", "en", "M", "P", src, (make_span(src, "Song", 1, 3),))
+        u = Utterance("u1", "M", "P", src, (make_span(src, "Song", 1, 3),))
         tgt = ("spiele", "beat", "mal", "it")
         align = frozenset({(0, 0), (1, 1), (2, 3)})
-        p = project_annotations(u, TranslationResult("u1", tgt, align, scores_for()))
+        p = project_annotations(u, TranslationResult(tgt, align, scores_for()))
         assert p.slots == (make_span(tgt, "Song", 1, 4),)
         assert p.slots[0].value == "beat mal it"
 
     def test_unaligned_slot_rejected(self):
         src = ("play", "queen")
-        u = Utterance("u1", "en", "M", "P", src, (make_span(src, "Artist", 1, 2),))
-        r = TranslationResult("u1", ("spiele",), frozenset({(0, 0)}), scores_for())
+        u = Utterance("u1", "M", "P", src, (make_span(src, "Artist", 1, 2),))
+        r = TranslationResult(("spiele",), frozenset({(0, 0)}), scores_for())
         with pytest.raises(ProjectionRejected) as err:
             project_annotations(u, r)
         assert err.value.reason == UNALIGNED_SLOT
@@ -332,25 +332,19 @@ class TestProjection:
     def test_overlapping_projection_rejected(self):
         src = ("a", "b")
         u = Utterance(
-            "u1", "en", "D", "I", src,
+            "u1", "D", "I", src,
             (make_span(src, "X", 0, 1), make_span(src, "Y", 1, 2)),
         )
         r = TranslationResult(
-            "u1", ("p", "q", "r"), frozenset({(0, 0), (0, 2), (1, 1)}), scores_for()
+            ("p", "q", "r"), frozenset({(0, 0), (0, 2), (1, 1)}), scores_for()
         )
         with pytest.raises(ProjectionRejected) as err:
             project_annotations(u, r)
         assert err.value.reason == OVERLAP
 
-    def test_id_mismatch_raises(self):
-        u = Utterance("u1", "en", "D", "I", ("a",))
-        r = TranslationResult("u2", ("x",), frozenset(), scores_for())
-        with pytest.raises(ValueError):
-            project_annotations(u, r)
-
     def test_source_index_out_of_range_raises(self):
-        u = Utterance("u1", "en", "D", "I", ("a",))
-        r = TranslationResult("u1", ("x",), frozenset({(5, 0)}), scores_for())
+        u = Utterance("u1", "D", "I", ("a",))
+        r = TranslationResult(("x",), frozenset({(5, 0)}), scores_for())
         with pytest.raises(ValueError):
             project_annotations(u, r)
 
@@ -399,8 +393,8 @@ class TestTranslationFiles:
     def test_save_load_round_trip(self, tmp_path):
         model = toy_model()
         results = {
-            "u1": decode(["wie", "geht", "es"], model, "u1"),
-            "u2": decode(["hallo"], model, "u2"),
+            "u1": decode(["wie", "geht", "es"], model),
+            "u2": decode(["hallo"], model),
         }
         path = tmp_path / "t.tsv"
         save_translations(results, path)
@@ -410,7 +404,7 @@ class TestTranslationFiles:
     def test_save_is_deterministic(self, tmp_path):
         results = {
             "u1": TranslationResult(
-                "u1", ("a", "b"), frozenset({(1, 0), (0, 1), (0, 0)}), scores_for(-2.0)
+                ("a", "b"), frozenset({(1, 0), (0, 1), (0, 0)}), scores_for(-2.0)
             )
         }
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -447,5 +441,5 @@ class TestTranslators:
     def test_phrase_table_translator(self):
         tr = PhraseTableTranslator(toy_model())
         r = tr.translate(("hallo",), "u9")
-        assert r is not None and r.source_id == "u9"
+        assert r is not None
         assert r.target_tokens == ("hello",)

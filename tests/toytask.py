@@ -135,7 +135,6 @@ def word_for_word_result(uid, tokens):
     tm = -0.1 * len(target)
     wp = -float(len(target))
     return TranslationResult(
-        uid,
         target,
         frozenset((i, i) for i in range(len(tokens))),
         TranslationScores(tm, 0.0, 0.0, wp, tm + wp),
@@ -159,7 +158,7 @@ def forward_results(corpus, corrupt_fraction=0.0, seed=0):
             target = list(result.target_tokens)
             target[position] = CARRIER_SWAP[carrier] + SUFFIX
             result = TranslationResult(
-                u.id, tuple(target), result.alignment, result.scores
+                tuple(target), result.alignment, result.scores
             )
             corrupted.add(u.id)
         results[u.id] = result
@@ -220,13 +219,13 @@ def to_target(u):
     """Map a source-side utterance onto target tokens (monotone, invertible)."""
     tokens = translate_tokens(u.tokens)
     slots = tuple(make_span(tokens, s.slot_type, s.start, s.end) for s in u.slots)
-    return Utterance(u.id, "de", u.domain, u.intent, tokens, slots)
+    return Utterance(u.id, u.domain, u.intent, tokens, slots)
 
 
 def sample_source(n, seed, templates=None, id_prefix="tr"):
     return sample_grammar(
         templates if templates is not None else grammar_templates(),
-        source_catalogs(), n, seed, language="en", id_prefix=id_prefix,
+        source_catalogs(), n, seed, id_prefix=id_prefix,
     )
 
 
