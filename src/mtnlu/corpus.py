@@ -49,6 +49,12 @@ def _check_token(token: str) -> None:
         raise ValueError("token %r contains a bracket character" % token)
 
 
+def split_tokens(text: str) -> tuple[str, ...]:
+    """The whitespace-separated tokens of `text`, interned: a word read from
+    any input is held once for the whole run."""
+    return tuple(map(sys.intern, text.split()))
+
+
 def check_name(name: str, what: str) -> None:
     if not name or any(c.isspace() for c in name) or any(c in "[]()" for c in name):
         raise ValueError("invalid %s: %r" % (what, name))
@@ -88,7 +94,8 @@ class Utterance:
     """One annotated utterance: the four fields of a corpus line, with the
     annotated text as tokens and slots.
 
-    Invariants enforced here: id, domain and intent pass `check_field`;
+    Invariants enforced here: id, domain and intent pass `check_field`, and
+    the id does not start with ``#``;
     tokens are non-empty, whitespace- and bracket-free; slots are sorted by
     start, non-overlapping, inside the token range, and each slot's value
     equals the joined tokens it covers.
@@ -104,6 +111,8 @@ class Utterance:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "slots", tuple(self.slots))
         check_field(self.id, "utterance id")
+        if self.id.startswith("#"):  # its corpus line would be read as a comment
+            raise ValueError("invalid utterance id: %r" % self.id)
         check_field(self.domain, "domain")
         check_field(self.intent, "intent")
         if not self.tokens:
@@ -153,7 +162,7 @@ def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
             nested = markup.find("[", i + 1)
             if nested != -1 and nested < close:
                 raise ValueError("nested slot bracket")
-            value_tokens = markup[i + 1 : close].split()
+            value_tokens = split_tokens(markup[i + 1 : close])
             if not value_tokens:
                 raise ValueError("empty slot span")
             if close + 1 >= n or markup[close + 1] != "(":
@@ -173,7 +182,7 @@ def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
             j = i
             while j < n and not markup[j].isspace() and markup[j] not in _BRACKETS:
                 j += 1
-            tokens.append(markup[i:j])
+            tokens.append(sys.intern(markup[i:j]))
             i = j
     if not tokens:
         raise ValueError("empty utterance text")
@@ -329,6 +338,7 @@ class CatalogEntry:
             raise ValueError("catalog entry must have at least one token")
         for t in self.tokens:
             _check_token(t)
+        object.__setattr__(self, "tokens", tuple(map(sys.intern, self.tokens)))
         if not 0 <= self.weight <= sys.float_info.max:
             raise ValueError("catalog weight must be a finite non-negative number")
 
@@ -584,7 +594,7 @@ def load_grammar(path) -> list[GrammarTemplate]:
 
 
 def _template(intent: str, domain: str, weight: str, pattern: str) -> GrammarTemplate:
-    return GrammarTemplate(intent.strip(), domain.strip(), tuple(pattern.split()),
+    return GrammarTemplate(intent.strip(), domain.strip(), split_tokens(pattern),
                            number(weight, "weight"))
 
 

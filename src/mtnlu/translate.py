@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus import Utterance, make_span, number, read_records, write_lines
+from .corpus import Utterance, make_span, number, read_records, split_tokens, write_lines
 from .errors import MtnluError
 
 log = logging.getLogger(__name__)
@@ -172,7 +172,7 @@ def load_phrase_table(path) -> list[tuple[tuple[str, ...], tuple[str, ...], floa
 
 
 def _phrase_pair(src: str, tgt: str, score: str) -> tuple[tuple[str, ...], tuple[str, ...], float]:
-    src_t, tgt_t = tuple(src.split()), tuple(tgt.split())
+    src_t, tgt_t = split_tokens(src), split_tokens(tgt)
     if not src_t or not tgt_t:
         raise ValueError("empty phrase side")
     return src_t, tgt_t, number(score.strip(), "score")
@@ -374,7 +374,7 @@ def _translation(uid: str, target: str, alignment: str,
     pairs = frozenset(number(chunk, "alignment pair", _alignment_pair)
                       for chunk in alignment.split())
     return uid.strip(), TranslationResult(
-        tuple(target.split()), pairs,
+        split_tokens(target), pairs,
         TranslationScores(*(number(s, "score field") for s in scores)))
 
 

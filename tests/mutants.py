@@ -9,11 +9,11 @@ set to the copy.  A failing run kills the mutant; a passing one lets it
 survive.  The checkout itself is never edited.  The script exits 0 when every
 mutant is killed, and 1 otherwise.
 
-Pytest does not collect this file (its name does not match `test_*.py`), and
-CI does not run it: each mutant costs up to one Tier-1 run.  An edit whose
-`old` text does not occur exactly once stops the script before any run, and
-fails `tests/test_mutants.py` in Tier-1, so a mutant cannot go stale
-unnoticed.
+Pytest does not collect this file (its name does not match `test_*.py`).
+CI runs it in a job of its own, beside Tier-1's, because each mutant costs
+up to one Tier-1 run.  An edit whose `old` text does not occur exactly once
+stops the script before any run, and fails `tests/test_mutants.py` in
+Tier-1, so a mutant cannot go stale unnoticed.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ MUTANTS = [
     ("pipeline.py", 'stage_seed(config.seed, "postprocess")', "config.seed"),
     # retention reads the translated utterance instead of its source
     ("postprocess.py", "_retained(u, sources[u.id], retain, stats)", "_retained(u, u, retain, stats)"),
+    # the readers split tokens without interning them
+    ("corpus.py", "return tuple(map(sys.intern, text.split()))", "return tuple(text.split())"),
+    # catalog entries keep the token strings they are given
+    ("corpus.py",
+     '        object.__setattr__(self, "tokens", tuple(map(sys.intern, self.tokens)))\n', ""),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",

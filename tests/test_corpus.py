@@ -1,6 +1,7 @@
 """Corpus data model, bracket markup, catalogs, and grammar sampling."""
 
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from mtnlu.corpus import (
     SlotSpan,
     Utterance,
     load_catalog,
+    load_catalogs,
     load_corpus,
     load_grammar,
     make_span,
@@ -20,6 +22,7 @@ from mtnlu.corpus import (
     serialize_utterance,
 )
 from mtnlu.errors import ConfigError, FormatError
+from mtnlu.nlu import CrfModel, TrainingConfig, train_slot_tagger
 from mtnlu.semer import read_semer_report
 from mtnlu.translate import load_phrase_table, load_translations
 
@@ -158,6 +161,14 @@ class TestUtteranceInvariants:
     def test_a_field_may_hold_inner_spaces(self):
         u = Utterance("u 1", "Home Automation", "Turn On", ("a",))
         assert parse_annotated_line(serialize_utterance(u)) == u
+
+    def test_only_the_id_may_not_start_with_a_comment_mark(self, tmp_path):
+        # the id starts its corpus line, which would then be read as a comment
+        with pytest.raises(ValueError, match=r"^invalid utterance id: '#u1'$"):
+            Utterance("#u1", "D", "I", ("a",))
+        u = Utterance("u#1", "#D", "#I", ("a",))
+        save_corpus([u], tmp_path / "c.tsv")
+        assert load_corpus(tmp_path / "c.tsv") == [u]
 
 
 class TestCorpusFiles:
@@ -442,3 +453,63 @@ class TestSampleGrammar:
         save_corpus(a, p1)
         save_corpus(b, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _catalog_tokens(path):
+    return [t for c in load_catalogs([path]).values() for e in c.entries for t in e.tokens]
+
+
+# (reader, file text, the tokens it reads in order)
+INTERNING_READERS = [
+    (lambda p: [t for u in load_corpus(p) for t in u.tokens],
+     "u1\tMusic\tPlayMusic\tplay [new york](City) now\nu2\tMusic\tPlayMusic\tplay now\n",
+     ["play", "new", "york", "now", "play", "now"]),
+    (_catalog_tokens, "#slot_type=City\nNew York\t2\nberlin\n", ["new", "york", "berlin"]),
+    (lambda p: [t for r in load_translations(p).values() for t in r.target_tokens],
+     "u1\twie ist das\t0-0\t0\t0\t0\t0\t0\n", ["wie", "ist", "das"]),
+    (lambda p: [t for src, tgt, _ in load_phrase_table(p) for t in src + tgt],
+     "play now ||| spiel jetzt ||| -1\n", ["play", "now", "spiel", "jetzt"]),
+    (lambda p: [t for g in load_grammar(p) for t in g.pattern],
+     "PlayMusic\tMusic\t1\tplay {City} now\n", ["play", "{City}", "now"]),
+]
+
+
+def interned_copies(words):
+    """The interned string of each of `words`, interned from a new copy:
+    a reader that does not intern returns other objects."""
+    return [sys.intern(w[:1] + w[1:]) for w in words]
+
+
+class TestInterning:
+    """Every reader interns the tokens it reads, so that a word read from any
+    input is held once."""
+
+    @pytest.mark.parametrize("read, text, expected", INTERNING_READERS,
+                             ids=["load_corpus", "load_catalogs", "load_translations",
+                                  "load_phrase_table", "load_grammar"])
+    def test_a_reader_interns_its_tokens(self, tmp_path, read, text, expected):
+        interned = interned_copies(expected)
+        path = tmp_path / "input.tsv"
+        path.write_text(text, encoding="utf-8")
+        tokens = read(path)
+        assert tokens == expected
+        assert [t is i for t, i in zip(tokens, interned)] == [True] * len(tokens)
+
+    def test_model_file_gazetteers_are_interned(self, tmp_path):
+        corpus = [parse_annotated_line("u1\tD\tI\tgo to [new york](City)")]
+        catalog = Catalog("City", (CatalogEntry(("New", "York"), 1.0),))
+        train_slot_tagger(corpus, TrainingConfig(max_iterations=0),
+                          gazetteers={"City": catalog}).save(tmp_path / "crf.json")
+        interned = interned_copies(["new", "york"])
+        loaded = CrfModel.load(tmp_path / "crf.json").gazetteers["City"]
+        tokens = [t for e in loaded.entries for t in e.tokens]
+        assert tokens == ["new", "york"]
+        assert [t is i for t, i in zip(tokens, interned)] == [True, True]
+
+    def test_a_word_from_a_catalog_and_a_corpus_is_one_object(self, tmp_path):
+        (tmp_path / "city.tsv").write_text("#slot_type=City\nOslo Sentrum\n", encoding="utf-8")
+        (tmp_path / "c.tsv").write_text("u1\tD\tI\tgo to oslo sentrum\n", encoding="utf-8")
+        (entry,) = load_catalogs([tmp_path / "city.tsv"])["City"].entries
+        (u,) = load_corpus(tmp_path / "c.tsv")
+        assert entry.tokens == u.tokens[2:]
+        assert all(a is b for a, b in zip(entry.tokens, u.tokens[2:]))

@@ -1,8 +1,8 @@
 """Every edit in `tests/mutants.py` still finds its text.
 
 The mutation script stops before any run on an edit whose `old` text does
-not occur exactly once, but nothing runs it routinely; this test makes a
-stale edit fail Tier-1.  It reads the checkout's `src` through the script's
+not occur exactly once, but it runs only in a CI job of its own; this test
+makes a stale edit fail Tier-1.  It reads the checkout's `src` through the script's
 `ROOT`, not the imported `mtnlu`, so a mutant run, which imports a mutated
 copy, is not killed by this test alone.
 """

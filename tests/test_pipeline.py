@@ -772,15 +772,6 @@ class TestFullRun:
         assert {c.endswith("_de") for c in cities} == {True, False}
         assert_same_files(tmp_path / "a", tmp_path / "b")
 
-    def test_byte_order_marks_change_no_output(self, tmp_path):
-        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
-        run_config(config_path, out_dir=str(tmp_path / "plain"))
-        inputs = sorted(tmp_path.glob("*.tsv")) + [tmp_path / "config.json"]
-        for path in inputs:  # corpora, catalogs, grammars, phrase tables, config
-            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        run_config(config_path, out_dir=str(tmp_path / "marked"))
-        assert_same_files(tmp_path / "plain", tmp_path / "marked")
-
     def test_the_languages_only_label_the_run(self, tmp_path):
         # they reach the effective config and, through its fingerprint, the
         # stage reports; no stage reads them
