@@ -111,7 +111,9 @@ class Utterance:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "slots", tuple(self.slots))
         check_field(self.id, "utterance id")
-        if self.id.startswith("#"):  # its corpus line would be read as a comment
+        # a corpus line that starts with "#" is a comment, and a byte-order
+        # mark that starts a file is dropped when it is read
+        if self.id[0] in "#\ufeff":
             raise ValueError("invalid utterance id: %r" % self.id)
         check_field(self.domain, "domain")
         check_field(self.intent, "intent")

@@ -552,11 +552,12 @@ class TestSampleGrammar:
         assert err.startswith("error: %s:3: " % catalog) and err.count("\n") == 1, err
         assert not (tmp_path / "x.tsv").exists()
 
-    @pytest.mark.parametrize("prefix", ["a\tb", "x\ny", "x\ry", " g", "#g"])
+    @pytest.mark.parametrize("prefix", ["a\tb", "x\ny", "x\ry", " g", "#g", "\ufeffg"])
     def test_id_prefix_a_corpus_line_cannot_hold_exits_one(self, tmp_path, capsys, prefix):
         # a tab or line break would split the written line; a leading space
-        # would be stripped when the corpus is read back, and a leading "#"
-        # would make the line a comment
+        # would be stripped when the corpus is read back, a leading "#"
+        # would make the line a comment, and a leading byte-order mark would
+        # be dropped from the first line
         paths = toytask.write_task_files(tmp_path)
         argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
                 "--id-prefix", prefix, "--out", str(tmp_path / "x.tsv")]

@@ -162,10 +162,13 @@ class TestUtteranceInvariants:
         u = Utterance("u 1", "Home Automation", "Turn On", ("a",))
         assert parse_annotated_line(serialize_utterance(u)) == u
 
-    def test_only_the_id_may_not_start_with_a_comment_mark(self, tmp_path):
-        # the id starts its corpus line, which would then be read as a comment
+    def test_only_the_id_may_not_start_with_a_comment_or_byte_order_mark(self, tmp_path):
+        # the id starts its corpus line, which would then be read as a
+        # comment, or lose the mark if it is the file's first line
         with pytest.raises(ValueError, match=r"^invalid utterance id: '#u1'$"):
             Utterance("#u1", "D", "I", ("a",))
+        with pytest.raises(ValueError, match=r"^invalid utterance id: '\\ufeffu1'$"):
+            Utterance("\ufeffu1", "D", "I", ("a",))
         u = Utterance("u#1", "#D", "#I", ("a",))
         save_corpus([u], tmp_path / "c.tsv")
         assert load_corpus(tmp_path / "c.tsv") == [u]

@@ -14,6 +14,7 @@ import pytest
 
 import mtnlu
 import toytask
+from toytask import run_config
 from mtnlu.corpus import (CatalogEntry, SlotSpan, Utterance, load_catalogs, load_corpus,
                           serialize_utterance)
 from mtnlu import pipeline
@@ -37,10 +38,6 @@ from mtnlu.translate import (TranslationResult, TranslationScores, load_translat
                              save_translations)
 
 
-def run_config(path, **overrides):
-    return run_pipeline(load_pipeline_config(path, **overrides))
-
-
 def fail_postprocess(monkeypatch):
     """Make the postprocess stage's handler raise."""
     reads, makes, _, files = pipeline._STAGES["postprocess"]
@@ -52,10 +49,7 @@ def fail_postprocess(monkeypatch):
 
 
 def assert_same_files(a, b):
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert toytask.differing_files(a, b) == set()
 
 
 class TestConfigLoading:
@@ -772,6 +766,15 @@ class TestFullRun:
         assert {c.endswith("_de") for c in cities} == {True, False}
         assert_same_files(tmp_path / "a", tmp_path / "b")
 
+    def test_byte_order_marks_change_no_output(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        run_config(config_path, out_dir=str(tmp_path / "plain"))
+        inputs = sorted(tmp_path.glob("*.tsv")) + [tmp_path / "config.json"]
+        for path in inputs:  # corpora, catalogs, grammars, phrase tables, config
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        run_config(config_path, out_dir=str(tmp_path / "marked"))
+        assert_same_files(tmp_path / "plain", tmp_path / "marked")
+
     def test_the_languages_only_label_the_run(self, tmp_path):
         # they reach the effective config and, through its fingerprint, the
         # stage reports; no stage reads them
@@ -781,10 +784,7 @@ class TestFullRun:
         config.update(source_language="fr", target_language="it")
         Path(config_path).write_text(json.dumps(config), encoding="utf-8")
         run_config(config_path, out_dir=str(tmp_path / "b"))
-        a, b = tmp_path / "a", tmp_path / "b"
-        names = sorted(p.name for p in a.iterdir())
-        assert names == sorted(p.name for p in b.iterdir())
-        assert {n for n in names if (a / n).read_bytes() != (b / n).read_bytes()} \
+        assert toytask.differing_files(tmp_path / "a", tmp_path / "b") \
             == {"effective_config.json", "stage_reports.tsv"}
 
 

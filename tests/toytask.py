@@ -25,6 +25,7 @@ from mtnlu.corpus import (
     sample_grammar,
     save_corpus,
 )
+from mtnlu.pipeline import load_pipeline_config, run_pipeline
 from mtnlu.translate import TranslationResult, TranslationScores
 
 SUFFIX = "_de"
@@ -288,3 +289,17 @@ def train_model_pair(root):
     config = build_workspace(root, n_train=30, n_test=10, config_update={"stages": ["train"]})
     assert main(["pipeline", "--config", config]) == 0
     return config, root / "out"
+
+
+def run_config(path, **overrides):
+    """Run the pipeline on the config at `path`; `overrides` as for
+    `load_pipeline_config`."""
+    return run_pipeline(load_pipeline_config(path, **overrides))
+
+
+def differing_files(a, b):
+    """The names of the files that differ between the directories `a` and
+    `b`, which must hold the same names."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    return {n for n in names if (a / n).read_bytes() != (b / n).read_bytes()}
