@@ -34,9 +34,8 @@ from typing import (Callable, Iterable, Mapping, NewType, Sequence, get_args, ge
 
 from .errors import ConfigError, FormatError
 
-# Characters with markup meaning; tokens may not contain them (nor whitespace),
-# which keeps parse(serialize(u)) == u total over valid utterances.
-_BRACKETS = "[]"
+# Tokens may not hold whitespace or a bracket, which keeps
+# parse(serialize(u)) == u total over valid utterances.
 _BAD_TOKEN_CHAR = re.compile(r"[\s\[\]]")
 
 
@@ -143,73 +142,60 @@ def parse_annotated_line(line: str, line_no: int | None = None, path=None) -> Ut
     return read_records(path, _utterance, (4,), lines=[(line_no, line)])[0]
 
 
+Segment = tuple[Sequence[str], str | None]  # (tokens, slot type or None for plain text)
+# a slot, a plain token, or a character that starts neither; finditer skips whitespace
+_MARKUP = re.compile(r"\[([^\[\]]*)\]\(([^)]*)\)|([^\s\[\]]+)|(\S)")
+
+
 def _utterance(*fields: str) -> Utterance:
     uid, domain, intent, markup = (f.strip() for f in fields)
-    tokens, slots = _parse_markup(markup)
-    return Utterance(uid, domain, intent, tokens, slots)
+    parts: list[Segment] = []
+    for m in _MARKUP.finditer(markup):
+        value, slot_type, token, bad = m.groups()
+        if bad is not None:
+            raise ValueError("%r at character %d is not [value](SlotType) markup"
+                             % (bad, m.start() + 1))
+        if token is not None:
+            parts.append(((sys.intern(token),), None))
+        elif value.strip():
+            parts.append((split_tokens(value), slot_type))
+        else:  # a clearer message than the span's own "bad span [1, 1)"
+            raise ValueError("empty slot span")
+    return Utterance(uid, domain, intent, *assemble(parts))
 
 
-def _parse_markup(markup: str) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
+def assemble(parts: Iterable[Segment]) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
+    """The tokens and slot spans of an annotated text given as its segments."""
     tokens: list[str] = []
     slots: list[SlotSpan] = []
-    i, n = 0, len(markup)
-    while i < n:
-        ch = markup[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "[":
-            close = markup.find("]", i + 1)
-            if close == -1:
-                raise ValueError("unclosed slot bracket")
-            nested = markup.find("[", i + 1)
-            if nested != -1 and nested < close:
-                raise ValueError("nested slot bracket")
-            value_tokens = split_tokens(markup[i + 1 : close])
-            if not value_tokens:
-                raise ValueError("empty slot span")
-            if close + 1 >= n or markup[close + 1] != "(":
-                raise ValueError("slot span missing (SlotType)")
-            close_paren = markup.find(")", close + 2)
-            if close_paren == -1:
-                raise ValueError("unterminated slot type")
-            slot_type = markup[close + 2 : close_paren]
-            check_name(slot_type, "slot type")
-            start = len(tokens)
-            tokens.extend(value_tokens)
+    for part, slot_type in parts:
+        start = len(tokens)
+        tokens.extend(part)
+        if slot_type is not None:
             slots.append(make_span(tokens, slot_type, start, len(tokens)))
-            i = close_paren + 1
-        elif ch == "]":
-            raise ValueError("stray closing bracket")
-        else:
-            j = i
-            while j < n and not markup[j].isspace() and markup[j] not in _BRACKETS:
-                j += 1
-            tokens.append(sys.intern(markup[i:j]))
-            i = j
-    if not tokens:
-        raise ValueError("empty utterance text")
     return tuple(tokens), tuple(slots)
+
+
+def segments(utterance: Utterance) -> list[Segment]:
+    """Inverse of `assemble`: the non-empty runs of plain tokens and the slots
+    of `utterance`, in order."""
+    tokens, out, cursor = utterance.tokens, [], 0
+    for s in utterance.slots:
+        if cursor < s.start:
+            out.append((tokens[cursor : s.start], None))
+        out.append((tokens[s.start : s.end], s.slot_type))
+        cursor = s.end
+    if cursor < len(tokens):
+        out.append((tokens[cursor:], None))
+    return out
 
 
 def serialize_utterance(utterance: Utterance) -> str:
     """Inverse of `parse_annotated_line`."""
-    by_start = {s.start: s for s in utterance.slots}
-    parts: list[str] = []
-    i = 0
-    while i < len(utterance.tokens):
-        span = by_start.get(i)
-        if span is not None:
-            parts.append(
-                "[%s](%s)"
-                % (" ".join(utterance.tokens[span.start : span.end]), span.slot_type)
-            )
-            i = span.end
-        else:
-            parts.append(utterance.tokens[i])
-            i += 1
-    return "\t".join(
-        [utterance.id, utterance.domain, utterance.intent, " ".join(parts)]
-    )
+    text = " ".join([" ".join(part) if slot_type is None
+                     else "[%s](%s)" % (" ".join(part), slot_type)
+                     for part, slot_type in segments(utterance)])
+    return "\t".join([utterance.id, utterance.domain, utterance.intent, text])
 
 
 def text_lines(path) -> list[tuple[int, str]]:
@@ -560,8 +546,15 @@ def to_json(config) -> dict:
     return out
 
 
-def _is_placeholder(token: str) -> bool:
-    return len(token) > 2 and token.startswith("{") and token.endswith("}")
+def _placeholder(token: str) -> str | None:
+    """The slot type that a pattern token ``{SlotType}`` names; None for a token
+    that neither starts with ``{`` nor ends with ``}``, a ValueError for any other."""
+    if not (token.startswith("{") or token.endswith("}")):
+        return None
+    if not re.fullmatch(r"\{[^{}]+\}", token):
+        raise ValueError("%r is not a {SlotType} placeholder" % token)
+    check_name(token[1:-1], "slot type")
+    return token[1:-1]
 
 
 @dataclass(frozen=True)
@@ -582,12 +575,12 @@ class GrammarTemplate:
         if not (self.weight > 0):
             raise ValueError("grammar weight must be positive")
         for tok in self.pattern:
-            if not _is_placeholder(tok):
+            if _placeholder(tok) is None:
                 _check_token(tok)
 
     @property
     def placeholders(self) -> tuple[str, ...]:
-        return tuple(t[1:-1] for t in self.pattern if _is_placeholder(t))
+        return tuple(filter(None, map(_placeholder, self.pattern)))
 
 
 def load_grammar(path) -> list[GrammarTemplate]:
@@ -624,26 +617,16 @@ def sample_grammar(
         raise ConfigError("no catalog for placeholder(s): %s" % ", ".join(missing))
     rng = random.Random(seed)
     weights = [t.weight for t in templates]
+    names = {tok: _placeholder(tok) for t in templates for tok in t.pattern}  # once, not per draw
+
+    def segment(token: str) -> Segment:
+        name = names[token]
+        return ((token,), None) if name is None else (catalogs[name].draw(rng).tokens, name)
+
     out: list[Utterance] = []
     for i in range(n):
         template = rng.choices(templates, weights)[0]
-        tokens: list[str] = []
-        slots: list[SlotSpan] = []
-        for tok in template.pattern:
-            if _is_placeholder(tok):
-                catalog = catalogs[tok[1:-1]]
-                start = len(tokens)
-                tokens.extend(catalog.draw(rng).tokens)
-                slots.append(make_span(tokens, catalog.slot_type, start, len(tokens)))
-            else:
-                tokens.append(tok)
-        out.append(
-            Utterance(
-                "%s%06d" % (id_prefix, i),
-                template.domain,
-                template.intent,
-                tuple(tokens),
-                tuple(slots),
-            )
-        )
+        tokens, slots = assemble(map(segment, template.pattern))
+        out.append(Utterance("%s%06d" % (id_prefix, i), template.domain, template.intent,
+                             tokens, slots))
     return out

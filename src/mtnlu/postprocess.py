@@ -22,7 +22,7 @@ import random
 
 from dataclasses import dataclass, replace
 
-from .corpus import Catalog, Utterance, make_span
+from .corpus import Catalog, Utterance, assemble, segments
 from .errors import ConfigError
 
 MULTIPLICITY_MISMATCH = "MULTIPLICITY_MISMATCH"
@@ -62,18 +62,14 @@ def replace_slot_values(
     """
     if not replacements:
         return utterance
-    tokens: list[str] = []
-    slots = []
-    cursor = 0
-    for idx, span in enumerate(utterance.slots):
-        tokens.extend(utterance.tokens[cursor : span.start])
-        start = len(tokens)
-        tokens.extend(replacements.get(idx, utterance.tokens[span.start : span.end]))
-        slots.append(make_span(tokens, span.slot_type, start, len(tokens)))
-        cursor = span.end
-    tokens.extend(utterance.tokens[cursor:])
-    return Utterance(utterance.id, utterance.domain, utterance.intent, tuple(tokens),
-                     tuple(slots))
+    parts = []
+    index = 0
+    for part, slot_type in segments(utterance):
+        if slot_type is not None:
+            part = replacements.get(index, part)
+            index += 1
+        parts.append((part, slot_type))
+    return Utterance(utterance.id, utterance.domain, utterance.intent, *assemble(parts))
 
 
 def _stream(seed: int, purpose: str, uid: str) -> random.Random:

@@ -146,26 +146,25 @@ def read_semer_report(path: str) -> SemerReport:
     """Parse a report file; integer counts are authoritative, the printed
     4-decimal ratio is presentational only."""
     lines = [(n, line) for n, line in data_lines(path) if line.rstrip("\n") != _REPORT_HEADER]
-    overall: SemerCounts | None = None
-    per_domain: dict[str, SemerCounts] = {}
-    for segment, name, counts in read_records(path, _parse_row, (9,), lines=lines):
-        if segment == "overall":
-            overall = counts
-        else:
-            per_domain[name] = counts
+    rows: dict[str | None, SemerCounts] = {}  # by domain name; None keys the overall row
+
+    def row(segment: str, name: str, *fields: str) -> None:
+        ref, ie, sub, dele, ins, errors = (number(x, "count", int) for x in fields[:6])
+        counts = SemerCounts(ref, ie, sub, dele, ins)
+        if counts.errors != errors:
+            raise ValueError("error total does not match its parts")
+        if segment not in ("overall", "domain"):
+            raise ValueError("unknown segment %r" % segment)
+        key = None if segment == "overall" else name
+        if key in rows:
+            raise ValueError("repeated %s row" % ("overall" if key is None else "domain %r" % name))
+        rows[key] = counts
+
+    read_records(path, row, (9,), lines=lines)
+    overall = rows.pop(None, None)
     if overall is None:
         raise FormatError("no overall row", path=path)
-    return checked(path, None, SemerReport, overall, per_domain)
-
-
-def _parse_row(segment: str, name: str, *fields: str) -> tuple[str, str, SemerCounts]:
-    ref, ie, sub, dele, ins, errors = (number(x, "count", int) for x in fields[:6])
-    counts = SemerCounts(ref, ie, sub, dele, ins)
-    if counts.errors != errors:
-        raise ValueError("error total does not match its parts")
-    if segment not in ("overall", "domain"):
-        raise ValueError("unknown segment %r" % segment)
-    return segment, name, counts
+    return checked(path, None, SemerReport, overall, rows)
 
 
 class ComparisonRow(NamedTuple):

@@ -67,6 +67,10 @@ MUTANTS = [
     # catalog entries keep the token strings they are given
     ("corpus.py",
      '        object.__setattr__(self, "tokens", tuple(map(sys.intern, self.tokens)))\n', ""),
+    # a slot with an empty type is read as plain tokens
+    ("corpus.py", "        if slot_type is not None:\n", "        if slot_type:\n"),
+    # a character that starts neither a slot nor a token is skipped
+    ("corpus.py", r'|(\S)")', r'|(\Z\S)")'),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",

@@ -568,6 +568,19 @@ class TestSampleGrammar:
         assert err == "error: invalid utterance id: %r\n" % (prefix + "000000"), err
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize("pattern, token", [
+        ("play {Song Name} now", "{Song"), ("{Song}{Song}", "{Song}{Song}")])
+    def test_a_broken_placeholder_exits_one(self, tmp_path, capsys, pattern, token):
+        grammar = tmp_path / "grammar.tsv"
+        grammar.write_text("PlayMusic\tMusic\t1\t%s\n" % pattern, encoding="utf-8")
+        catalog = tmp_path / "song.tsv"
+        catalog.write_text("#slot_type=Song\nyesterday\n", encoding="utf-8")
+        assert main(["sample-grammar", "--grammar", str(grammar), "--catalog", str(catalog),
+                     "--count", "5", "--out", str(tmp_path / "x.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s:1: %r is not a {SlotType} placeholder\n" % (grammar, token), err
+        assert not (tmp_path / "x.tsv").exists()
+
     def test_language_option_is_gone(self, tmp_path, capsys):
         paths = toytask.write_task_files(tmp_path)
         assert main(["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",

@@ -1,6 +1,7 @@
 """Corpus data model, bracket markup, catalogs, and grammar sampling."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -52,20 +53,33 @@ class TestParse:
         u = parse_annotated_line("u3\tD\tI\t[a](X) [b](Y)")
         assert u.slots == (SlotSpan("X", 0, 1, "a"), SlotSpan("Y", 1, 2, "b"))
 
+    def test_a_token_may_touch_a_slot(self):
+        u = parse_annotated_line("u1\tD\tI\ta[b](X)c")
+        assert u.tokens == ("a", "b", "c")
+        assert u.slots == (SlotSpan("X", 1, 2, "b"),)
+
     @pytest.mark.parametrize(
-        "markup",
+        "markup, message",
         [
-            "play [we are the champions(SongName)",  # unclosed bracket
-            "play [we [are] the](SongName)",  # nested
-            "play [](SongName)",  # empty span
-            "play [   ](SongName)",  # empty span, whitespace only
-            "play [songs]",  # missing slot type
-            "play [songs](",  # unterminated slot type
-            "stray ] bracket",
+            ("play [we are the champions(SongName)",  # unclosed bracket
+             "'[' at character 6 is not [value](SlotType) markup"),
+            ("play [we [are] the](SongName)",  # nested
+             "'[' at character 6 is not [value](SlotType) markup"),
+            ("play [](SongName)", "empty slot span"),
+            ("play [   ](SongName)", "empty slot span"),  # whitespace only
+            ("play [songs]",  # missing slot type
+             "'[' at character 6 is not [value](SlotType) markup"),
+            ("play [songs](",  # unterminated slot type
+             "'[' at character 6 is not [value](SlotType) markup"),
+            ("play [songs] (X)",  # space before the slot type
+             "'[' at character 6 is not [value](SlotType) markup"),
+            ("play [songs]()", "invalid slot type: ''"),
+            ("stray ] bracket", "']' at character 7 is not [value](SlotType) markup"),
+            ("   ", "utterance u1 has no tokens"),
         ],
     )
-    def test_malformed_markup(self, markup):
-        with pytest.raises(FormatError):
+    def test_malformed_markup(self, markup, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
             parse_annotated_line("u1\tD\tI\t" + markup)
 
     def test_wrong_field_count(self):
@@ -411,6 +425,21 @@ class TestGrammar:
         with pytest.raises(FormatError):
             load_grammar(path)
 
+    @pytest.mark.parametrize("pattern, token", [
+        ("play {Song Name} now", "{Song"), ("{Song}{Song}", "{Song}{Song}"),
+        ("play {}", "{}"), ("play it}", "it}")])
+    def test_a_brace_token_must_be_a_placeholder(self, tmp_path, pattern, token):
+        path = tmp_path / "g.tsv"
+        path.write_text("# templates\nI\tD\t1\t%s\n" % pattern, encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                "%r is not a {SlotType} placeholder" % token)) as err:
+            load_grammar(path)
+        assert err.value.line_no == 2
+
+    def test_a_placeholder_names_a_slot_type(self):
+        with pytest.raises(ValueError, match=re.escape("invalid slot type: 'City(x)'")):
+            GrammarTemplate("I", "D", ("in", "{City(x)}"), 1.0)
+
 
 class TestSampleGrammar:
     CATALOGS = {
@@ -456,6 +485,19 @@ class TestSampleGrammar:
         save_corpus(a, p1)
         save_corpus(b, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_sampled_corpus_reads_back_as_sampled(self, tmp_path):
+        catalogs = {
+            "A": Catalog("A", (CatalogEntry(("new", "york"), 1.0), CatalogEntry(("rome",), 1.0))),
+            "B": Catalog("B", (CatalogEntry(("next", "friday", "night"), 2.0),
+                               CatalogEntry(("today",), 1.0))),
+        }
+        templates = [GrammarTemplate("I", "D", ("{A}", "{B}"), 1.0),
+                     GrammarTemplate("J", "D", ("go", "to", "{A}", "{B}", "please"), 1.0)]
+        sampled = sample_grammar(templates, catalogs, 50, seed=3)
+        assert any(len(s.value.split()) > 1 for u in sampled for s in u.slots)
+        save_corpus(sampled, tmp_path / "c.tsv")
+        assert load_corpus(tmp_path / "c.tsv") == sampled
 
 
 def _catalog_tokens(path):

@@ -236,6 +236,21 @@ class TestReportIO:
         with pytest.raises(FormatError, match="per-domain"):
             read_semer_report(str(path))
 
+    @pytest.mark.parametrize("rows, line_no, message", [
+        ("overall\t-\t10\t1\t0\t0\t0\t1\t0.1000\n"
+         "overall\t-\t10\t5\t0\t0\t0\t5\t0.5000\n"
+         "domain\tA\t10\t5\t0\t0\t0\t5\t0.5000\n", 2, "repeated overall row"),
+        ("overall\t-\t10\t5\t0\t0\t0\t5\t0.5000\n"
+         "domain\tA\t10\t5\t0\t0\t0\t5\t0.5000\n"
+         "domain\tA\t10\t5\t0\t0\t0\t5\t0.5000\n", 3, "repeated domain 'A' row"),
+    ], ids=["overall", "domain"])
+    def test_read_rejects_a_repeated_row(self, tmp_path, rows, line_no, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(FormatError, match=message) as err:
+            read_semer_report(str(path))
+        assert err.value.line_no == line_no
+
 
 def report_with_semer(errors, reference_count=10000):
     counts = SemerCounts(reference_count=reference_count, substitutions=errors)
