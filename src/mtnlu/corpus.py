@@ -349,6 +349,8 @@ class Catalog:
             raise ValueError("catalog %s has no entries" % self.slot_type)
         if not any(e.weight > 0 for e in self.entries):
             raise ValueError("catalog %s has no entry with positive weight" % self.slot_type)
+        if not math.isfinite(sum(e.weight for e in self.entries)):
+            raise ValueError("catalog %s has a total weight that is not finite" % self.slot_type)
 
     @functools.cached_property
     def entries_by_length(self) -> dict[int, frozenset[tuple[str, ...]]]:
@@ -568,8 +570,8 @@ class GrammarTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "pattern", tuple(self.pattern))
-        check_name(self.intent, "intent")
-        check_name(self.domain, "domain")
+        check_field(self.intent, "intent")
+        check_field(self.domain, "domain")
         if not self.pattern:
             raise ValueError("empty grammar pattern")
         if not (self.weight > 0):
@@ -584,8 +586,12 @@ class GrammarTemplate:
 
 
 def load_grammar(path) -> list[GrammarTemplate]:
-    """Read grammar lines: ``intent TAB domain TAB weight TAB pattern``."""
-    return read_records(path, _template, (4,))
+    """Read grammar lines: ``intent TAB domain TAB weight TAB pattern``; the
+    weights must have a finite total."""
+    templates = read_records(path, _template, (4,))
+    if not math.isfinite(sum(t.weight for t in templates)):
+        raise FormatError("the grammar has a total weight that is not finite", None, path)
+    return templates
 
 
 def _template(intent: str, domain: str, weight: str, pattern: str) -> GrammarTemplate:

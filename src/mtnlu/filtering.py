@@ -6,7 +6,10 @@ Two independent mechanisms:
   translating the result back, and re-running source-language NLU lands on
   the same interpretation it started with.  Stricter modes also compare
   slots or require a minimum intent confidence on the back-translation.
-  Its forward half, `project_corpus`, is also the pipeline's project stage.
+  It is its forward half, `project_corpus` (the pipeline's project stage),
+  followed by `roundtrip_check`.  The pipeline's semantic filter runs
+  `roundtrip_check` on the project stage's projections when the run has
+  that stage, so each utterance is projected once.
 
 * `score_filter` keeps an utterance only when its length-normalized
   translation score clears a per-domain threshold of mean + k * stdev.
@@ -123,32 +126,32 @@ def project_corpus(corpus: Sequence[Utterance], forward: Translator) -> FilterOu
     return FilterOutcome(kept, removed)
 
 
-def roundtrip_filter(
+def roundtrip_check(
+    projection: FilterOutcome,
     source_corpus: Sequence[Utterance],
-    forward: Translator,
     backward: Translator,
     source_nlu: tuple[CrfModel | None, MaxEntModel],
     config: FilterConfig,
 ) -> FilterOutcome:
-    """Keep utterances whose interpretation survives a translation round trip.
+    """Keep the projections whose interpretation survives a translation back.
 
-    First `project_corpus` translates the corpus forward and projects its
-    annotations.  Then, per projection: translate it back, run source-language
-    NLU on the back-translation and on the source utterance, and keep the
-    projection only when the two NLU readings agree (see FilterConfig for the
-    agreement criterion).  A missing back-translation removes the utterance
-    with NO_BACK_TRANSLATION.  Removals are listed in input order.  The source
-    utterance of a projection is found by its id, so ids must be unique, as
-    `load_corpus` makes them.  The slot tagger of `source_nlu` is read only
-    in the INTENT_SLOTS mode, and may be None in the others.
+    `projection` is what `project_corpus` made of `source_corpus`.  Per kept
+    projection: translate it back, run source-language NLU on the
+    back-translation and on the source utterance, and keep the projection
+    only when the two NLU readings agree (see FilterConfig for the agreement
+    criterion).  A missing back-translation removes the utterance with
+    NO_BACK_TRANSLATION.  Removals, the projection's among them, are listed in
+    input order.  The source utterance of a projection is found by its id, so
+    ids must be unique, as `load_corpus` makes them.  The slot tagger of
+    `source_nlu` is read only in the INTENT_SLOTS mode, and may be None in
+    the others.
     """
     crf, maxent = source_nlu
     if crf is None and config.mode == MODE_INTENT_SLOTS:
         raise ValueError("the %s filter mode needs a source slot tagger" % MODE_INTENT_SLOTS)
-    projection = project_corpus(source_corpus, forward)
     position = {u.id: i for i, u in enumerate(source_corpus)}
     kept: list[Utterance] = []
-    removed = projection.removed
+    removed = list(projection.removed)
     for projected, back in translated(projection.kept, backward, removed,
                                       NO_BACK_TRANSLATION):
         u = source_corpus[position[projected.id]]
@@ -177,6 +180,14 @@ def roundtrip_filter(
             kept.append(projected)
     removed.sort(key=lambda r: position[r[0]])
     return FilterOutcome(kept, removed)
+
+
+def roundtrip_filter(source_corpus: Sequence[Utterance], forward: Translator,
+                     backward: Translator, source_nlu: tuple[CrfModel | None, MaxEntModel],
+                     config: FilterConfig) -> FilterOutcome:
+    """`roundtrip_check` of what `project_corpus` makes of `source_corpus` with `forward`."""
+    return roundtrip_check(project_corpus(source_corpus, forward), source_corpus, backward,
+                           source_nlu, config)
 
 
 # --- score filtering ---------------------------------------------------------

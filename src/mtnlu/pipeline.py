@@ -43,7 +43,7 @@ from .filtering import (
     FilterOutcome,
     compute_domain_stats,
     project_corpus,
-    roundtrip_filter,
+    roundtrip_check,
     score_filter,
     translated,
 )
@@ -327,10 +327,10 @@ def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: P
                                 "CRF slot tagger (stage filter-semantic)")
     maxent = train_intent_classifier(state.source, config.training, state.source_catalogs,
                                      "MaxEnt intent classifier (stage filter-semantic)")
-    corpus_ids = {u.id for u in state.corpus}
-    survivors = [u for u in state.source if u.id in corpus_ids]
-    return roundtrip_filter(survivors, FileTranslator(state.translations), state.backward,
-                            (crf, maxent), config.filter)
+    # the project stage, when the run has it, has just made the projections
+    projection = (FilterOutcome(state.corpus, []) if "project" in config.stages
+                  else _stage_project(config, state, out))
+    return roundtrip_check(projection, state.source, state.backward, (crf, maxent), config.filter)
 
 
 def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path):

@@ -58,6 +58,8 @@ MUTANTS = [
      "        check_resample_catalogs(config.postprocess.resample_slots, catalogs)\n", ""),
     # the models are released after their last reader like every other input
     ("pipeline.py", '_INPUTS.keys() - {"models"} - later_reads', "_INPUTS.keys() - later_reads"),
+    # filter-semantic projects the corpus again after the project stage did
+    ("pipeline.py", '"project" in config.stages', "False"),
     # post-processing draws from the run seed instead of its stage's seed
     ("pipeline.py", 'stage_seed(config.seed, "postprocess")', "config.seed"),
     # retention reads the translated utterance instead of its source

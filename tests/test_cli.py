@@ -15,7 +15,7 @@ import mtnlu
 import toytask
 from mtnlu import cli, pipeline
 from mtnlu.cli import main
-from mtnlu.corpus import load_corpus
+from mtnlu.corpus import load_catalogs, load_corpus, load_grammar, sample_grammar
 from mtnlu.errors import MtnluError
 from mtnlu.semer import SemerCounts, SemerReport, write_semer_report
 from mtnlu.translate import load_translations, save_translations
@@ -301,6 +301,19 @@ def test_bad_input_leaves_the_output_directory_as_it_was(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_catalog_total_past_the_float_maximum_exits_one_before_any_stage(tmp_path, capsys):
+    # the post-processing stage resamples City from this catalog
+    config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
+    catalog = tmp_path / "catalog_tgt_city.tsv"
+    lines = catalog.read_text(encoding="utf-8").splitlines()
+    catalog.write_text("".join("%s\t1e308\n" % line.split("\t")[0] if i else line + "\n"
+                               for i, line in enumerate(lines)), encoding="utf-8")
+    assert main(["pipeline", "--config", config]) == 1
+    assert capsys.readouterr().err == \
+        "error: %s: catalog City has a total weight that is not finite\n" % catalog
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["translate"],
     ["project"],
@@ -579,6 +592,38 @@ class TestSampleGrammar:
                      "--count", "5", "--out", str(tmp_path / "x.tsv")]) == 1
         err = capsys.readouterr().err
         assert err == "error: %s:1: %r is not a {SlotType} placeholder\n" % (grammar, token), err
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_intents_and_domains_of_corpus_lines(self, tmp_path):
+        # the grammar takes every intent and domain that a corpus line holds
+        grammar = tmp_path / "grammar.tsv"
+        grammar.write_text("Play(Music)\tMy Domain\t1\tplay {Song}\n", encoding="utf-8")
+        catalog = tmp_path / "song.tsv"
+        catalog.write_text("#slot_type=Song\nyesterday\nlet it be\n", encoding="utf-8")
+        out = tmp_path / "x.tsv"
+        assert main(["sample-grammar", "--grammar", str(grammar), "--catalog", str(catalog),
+                     "--count", "5", "--out", str(out)]) == 0
+        sampled = sample_grammar(load_grammar(grammar), load_catalogs([catalog]), 5, 0)
+        assert {(u.intent, u.domain) for u in sampled} == {("Play(Music)", "My Domain")}
+        assert load_corpus(out) == sampled
+
+    @pytest.mark.parametrize("huge, message", [
+        ("catalog", "catalog Song has a total weight that is not finite"),
+        ("grammar", "the grammar has a total weight that is not finite"),
+    ], ids=["catalog", "grammar"])
+    def test_a_total_weight_past_the_float_maximum_exits_one(self, tmp_path, capsys,
+                                                              huge, message):
+        # each weight of the `huge` file is finite, but their total is not
+        grammar, catalog = tmp_path / "grammar.tsv", tmp_path / "song.tsv"
+        weight = {"grammar": 1.0, "catalog": 1.0, huge: 1e308}
+        grammar.write_text("PlayMusic\tMusic\t%r\tplay {Song}\nStop\tMusic\t%r\tstop\n"
+                           % (weight["grammar"], weight["grammar"]), encoding="utf-8")
+        catalog.write_text("#slot_type=Song\nyesterday\t%r\nlet it be\t%r\n"
+                           % (weight["catalog"], weight["catalog"]), encoding="utf-8")
+        assert main(["sample-grammar", "--grammar", str(grammar), "--catalog", str(catalog),
+                     "--count", "5", "--out", str(tmp_path / "x.tsv")]) == 1
+        path = grammar if huge == "grammar" else catalog
+        assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
         assert not (tmp_path / "x.tsv").exists()
 
     def test_language_option_is_gone(self, tmp_path, capsys):

@@ -370,6 +370,12 @@ class TestCatalog:
         with pytest.raises(ValueError, match="finite"):
             CatalogEntry(("berlin",), float("inf"))
 
+    def test_total_weight_must_be_finite(self):
+        near = Catalog("City", (CatalogEntry(("berlin",), 1e308), CatalogEntry(("paris",), 7e307)))
+        assert sum(e.weight for e in near.entries) == 1.7e308
+        with pytest.raises(ValueError, match="catalog City has a total weight that is not finite"):
+            Catalog("City", (CatalogEntry(("berlin",), 1e308), CatalogEntry(("paris",), 1e308)))
+
     def test_empty_catalog_rejected(self, tmp_path):
         path = tmp_path / "city.txt"
         path.write_text("#slot_type=City\n", encoding="utf-8")
@@ -435,6 +441,13 @@ class TestGrammar:
                 "%r is not a {SlotType} placeholder" % token)) as err:
             load_grammar(path)
         assert err.value.line_no == 2
+
+    def test_intent_and_domain_follow_the_corpus_field_rule(self):
+        template = GrammarTemplate("Play(Music)", "My Domain", ("play",), 1.0)
+        assert (template.intent, template.domain) == ("Play(Music)", "My Domain")
+        for intent, domain in (("A\tB", "D"), ("I", " D"), ("", "D")):
+            with pytest.raises(ValueError, match="invalid (intent|domain)"):
+                GrammarTemplate(intent, domain, ("play",), 1.0)
 
     def test_a_placeholder_names_a_slot_type(self):
         with pytest.raises(ValueError, match=re.escape("invalid slot type: 'City(x)'")):

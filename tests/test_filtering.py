@@ -25,6 +25,8 @@ from mtnlu.filtering import (
     FilterOutcome,
     compute_domain_stats,
     normalize_score,
+    project_corpus,
+    roundtrip_check,
     roundtrip_filter,
     score_filter,
 )
@@ -258,9 +260,9 @@ class TestRoundtripFilter:
         assert sum(out.stats.values()) == len(out.removed)
         assert out.stats == {INTENT_MISMATCH: 1, NO_TRANSLATION: 1}
 
-    def test_kept_and_removed_in_input_order(self):
-        # each of the four ways out, with a kept utterance after each
-        nlu = play_nlu()
+    @staticmethod
+    def four_ways_out():
+        """A corpus and its two translators."""
         corpus = [
             utt("a", "Resume", "resume"),  # back as "forward"
             utt("k1", "Play", "play queen", [("Artist", 1, 2)]),
@@ -276,10 +278,25 @@ class TestRoundtripFilter:
                                      "play the queen": "spiel", "forward": "vor"})
         backward = MappingTranslator({"weiter": "forward", "spiel queen": "play queen",
                                       "spiel abba": "play abba", "vor": "forward"})
+        return corpus, forward, backward
+
+    def test_kept_and_removed_in_input_order(self):
+        # each of the four ways out, with a kept utterance after each
+        nlu = play_nlu()
+        corpus, forward, backward = self.four_ways_out()
         out = roundtrip_filter(corpus, forward, backward, nlu, FilterConfig())
         assert [u.id for u in out.kept] == ["k1", "k2", "k3", "k4"]
         assert out.removed == [("a", INTENT_MISMATCH), ("b", NO_BACK_TRANSLATION),
                                ("c", UNALIGNED_SLOT), ("d", NO_TRANSLATION)]
+
+    def test_the_check_sorts_in_the_projection_removals_on_a_copy(self):
+        corpus, forward, backward = self.four_ways_out()
+        nlu = play_nlu()
+        projection = project_corpus(corpus, forward)
+        assert projection.removed == [("c", UNALIGNED_SLOT), ("d", NO_TRANSLATION)]
+        out = roundtrip_check(projection, corpus, backward, nlu, FilterConfig())
+        assert out == roundtrip_filter(corpus, forward, backward, nlu, FilterConfig())
+        assert projection.removed == [("c", UNALIGNED_SLOT), ("d", NO_TRANSLATION)]
 
     def test_stricter_mode_keeps_subset(self):
         nlu = play_nlu()

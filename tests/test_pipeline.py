@@ -17,11 +17,11 @@ import toytask
 from toytask import run_config
 from mtnlu.corpus import (CatalogEntry, SlotSpan, Utterance, load_catalogs, load_corpus,
                           serialize_utterance)
-from mtnlu import pipeline
+from mtnlu import filtering, pipeline
 from mtnlu.errors import ConfigError
 from mtnlu.cli import main
 from mtnlu.filtering import (INTENT_MISMATCH, NO_BACK_TRANSLATION, NO_TRANSLATION, FilterConfig,
-                             roundtrip_filter)
+                             roundtrip_check)
 from mtnlu.nlu import TrainingConfig, train_slot_tagger
 from mtnlu.postprocess import PostprocessConfig, combined_postprocess
 from mtnlu.pipeline import (
@@ -871,6 +871,23 @@ def test_semantic_removals_keep_source_order_with_and_without_project(tmp_path):
         (tmp_path / "projected" / "corpus_semantic.tsv").read_bytes()
 
 
+def test_a_full_run_projects_each_translated_utterance_once(tmp_path, monkeypatch):
+    # filter-semantic checks the projections of the project stage instead of
+    # translating and projecting the corpus again
+    config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+    projected, project = [], filtering.project_annotations
+
+    def counted(u, result):
+        projected.append(u.id)
+        return project(u, result)
+
+    monkeypatch.setattr(filtering, "project_annotations", counted)
+    run_config(config_path)
+    translations = load_translations(tmp_path / "out" / "translations.tsv")
+    assert translations
+    assert sorted(projected) == sorted(translations)
+
+
 class TestSourceSlotTagger:
     """filter-semantic trains a source slot tagger only for the filter mode
     that compares slots; the outputs are those of a run that always trains it."""
@@ -893,10 +910,14 @@ class TestSourceSlotTagger:
             load_corpus(config.source_corpus),
             config.training, load_catalogs(config.source_catalogs))
 
-        def always_with_tagger(corpus, forward, backward, source_nlu, *args, **kwargs):
-            return roundtrip_filter(corpus, forward, backward,
-                                    (source_tagger, source_nlu[1]), *args, **kwargs)
+        checks = []
 
-        monkeypatch.setattr(pipeline, "roundtrip_filter", always_with_tagger)
+        def always_with_tagger(projection, corpus, backward, source_nlu, *args, **kwargs):
+            checks.append(projection)
+            return roundtrip_check(projection, corpus, backward,
+                                   (source_tagger, source_nlu[1]), *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "roundtrip_check", always_with_tagger)
         run_config(config_path, out_dir=str(tmp_path / "tagged"))
+        assert len(checks) == 1  # the run checked its projections through the patch
         assert_same_files(tmp_path / "lean", tmp_path / "tagged")
