@@ -230,9 +230,18 @@ def compute_domain_stats(
     for u in corpus:
         by_domain.setdefault(u.domain, []).append(_normalized(u, translations))
     return {
-        d: DomainStats(statistics.fmean(xs), statistics.pstdev(xs), len(xs))
+        d: DomainStats(_mean(xs), statistics.pstdev(xs), len(xs))
         for d, xs in by_domain.items()
     }
+
+
+def _mean(xs: list[float]) -> float:
+    """`statistics.fmean` of `xs`, or their exact mean where fmean's sum
+    passes the float maximum (the mean itself cannot)."""
+    try:
+        return statistics.fmean(xs)
+    except OverflowError:
+        return statistics.mean(xs)
 
 
 _SCORE_TOLERANCE = 1e-9

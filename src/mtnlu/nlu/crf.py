@@ -179,8 +179,7 @@ class _Design:
         # Feature/label and label-bigram counts of the gold sequences: the
         # score of every gold path together, and the empirical side of the
         # gradient.
-        gold_onehot = design_matrix(np.reshape(gold, (-1, 1)), n_labels)
-        self.gold_emissions = (self.phi.T @ gold_onehot).toarray()
+        self.gold_emissions = self.phi.T @ np.eye(n_labels)[gold]
         self.gold_transitions = np.zeros((n_labels, n_labels))
         for _, labels in sequences:
             for a, b in zip(labels, labels[1:]):

@@ -48,6 +48,10 @@ MUTANTS = [
     ("filtering.py", "back_posteriors.get(ref_intent, 0.0) < config.confidence_threshold",
      "back_posteriors.get(ref_intent, 0.0) <= config.confidence_threshold"),
     ("nlu/crf.py", "scale[t] >= _TINY", "scale[t] > 0"),
+    # a repeated feature id counts once in the numpy design's products
+    ("nlu/modelio.py", "column[self.cols] * self.count", "column[self.cols]"),
+    # small designs are scipy's CSR matrix and large ones numpy's
+    ("nlu/modelio.py", "len(cols) < _CSR_MIN_ENTRIES", "len(cols) >= _CSR_MIN_ENTRIES"),
     ("translate.py", "hyp.target + tgt < kept.target", "hyp.target + tgt > kept.target"),
     ("translate.py", "score > kept.score", "score >= kept.score"),
     # two run inputs loaded in the other order

@@ -314,6 +314,22 @@ def test_a_catalog_total_past_the_float_maximum_exits_one_before_any_stage(tmp_p
     assert not (tmp_path / "out").exists()
 
 
+def test_translation_totals_past_the_float_maximum_pass_the_score_filter(tmp_path):
+    # each total is finite, but their sum in a domain is not
+    config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
+    results = toytask.forward_results(load_corpus(tmp_path / "train.tsv"))[0]
+    save_translations({uid: dataclasses.replace(r, scores=dataclasses.replace(
+        r.scores, weighted_total=1e308)) for uid, r in results.items()}, tmp_path / "forward.tsv")
+    obj = json.loads(Path(config).read_text())
+    obj["translation"] = {"forward_translations": "forward.tsv",
+                          "backward_phrase_table": obj["translation"]["backward_phrase_table"]}
+    obj["filter"]["score_multiplier"] = -1.0
+    Path(config).write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["pipeline", "--config", config]) == 0
+    rows = (tmp_path / "out" / "score_stats.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(float(row.split("\t")[1]) > 1e307 for row in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ["translate"],
     ["project"],
@@ -645,26 +661,29 @@ class TestEntryPoint:
 
 
 _REPORT_SCIPY = (
-    "import sys; from mtnlu.cli import main; code = main(sys.argv[1:]); "
+    "import sys; %s; "
     "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))); "
     "sys.exit(code)"
 )
+_MAIN = "from mtnlu.cli import main; code = main(sys.argv[1:])"
 
 
-def scipy_modules_after(argv):
-    """The scipy modules loaded in a fresh process after `mtnlu argv`; the
-    test process itself has imported scipy already."""
+def scipy_modules_after(argv, run=_MAIN):
+    """The scipy modules loaded in a fresh process after `run` sets `code`,
+    by default to the exit code of `mtnlu argv`; the test process itself has
+    imported scipy already."""
     src = str(Path(mtnlu.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY, *argv],
+    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY % run, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
 class TestImports:
-    """Only training imports scipy, and from it only scipy.sparse."""
+    """Only training on a design of 2**16 ids or more imports scipy, and from
+    it only scipy.sparse."""
 
     def test_evaluate_imports_no_scipy(self, tmp_path, trained_models):
         config, models = trained_models
@@ -686,8 +705,15 @@ class TestImports:
             argv += ["--catalog", c]
         assert scipy_modules_after(argv) == set()
 
-    def test_train_imports_scipy_sparse_only(self, tmp_path):
+    def test_small_train_imports_no_scipy(self, tmp_path):
         config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
-        modules = scipy_modules_after(["train", "--config", config])
+        assert scipy_modules_after(["train", "--config", config]) == set()
+        assert (tmp_path / "out" / "crf_model.json").exists()
+
+    def test_large_design_imports_scipy_sparse_only(self):
+        modules = scipy_modules_after([], "import numpy as np; "
+                                      "from mtnlu.nlu.modelio import design_matrix; "
+                                      "design_matrix([np.zeros(1 << 16, dtype=np.int64)], 1); "
+                                      "code = 0")
         assert "scipy.sparse" in modules
         assert "scipy.special" not in modules

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -423,6 +424,19 @@ class TestDomainStats:
         corpus = [utt("u1", "I", "w")]
         with pytest.raises(ConfigError):
             compute_domain_stats(corpus, {})
+
+    def test_scores_whose_sum_passes_the_float_maximum(self):
+        # each score is finite, and so are their mean and stdev, but the
+        # running sum of fmean is not
+        scores = [1e308, 1.5e308, 1e308, -2e307]
+        corpus = [utt("u%d" % i, "I", "w") for i in range(len(scores))]
+        translations = {u.id: TranslationResult(("x",), frozenset(), zero_scores(score))
+                        for u, score in zip(corpus, scores)}
+        st = compute_domain_stats(corpus, translations)["D"]
+        assert st.mean == statistics.mean(scores) == 8.25e307
+        assert st.stdev == statistics.pstdev(scores) and st.count == 4
+        out = score_filter(corpus, translations, {"D": st}, k=0.0)
+        assert [u.id for u in out.kept] == ["u0", "u1", "u2"]
 
 
 class TestScoreFilter:

@@ -1,12 +1,13 @@
-"""What the CRF and MaxEnt models share: the numpy logsumexp, the catalog
-build that a model pair shares when it is loaded, and the checks that a
-model file meets when it is loaded."""
+"""What the CRF and MaxEnt models share: the numpy design matrix and
+logsumexp, the catalog build that a model pair shares when it is loaded, and
+the checks that a model file meets when it is loaded."""
 
 import json
 import shutil
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import logsumexp as scipy_logsumexp
 
 import toytask
@@ -71,6 +72,62 @@ class TestLogsumexp:
             monkeypatch.undo()
             assert ours[0] == theirs[0]
             assert np.array_equal(ours[1], theirs[1])
+
+
+def random_design(gen):
+    """Id lists with empty rows, unused columns and ids repeated 2-3 times in
+    a row, and the number of columns."""
+    n_columns = int(gen.integers(1, 40)) + 5  # the last 5 are never used
+    rows = []
+    for _ in range(gen.integers(1, 30)):
+        ids = gen.integers(0, n_columns - 5, size=gen.integers(0, 8))
+        rows.append(np.repeat(ids, gen.integers(1, 4, size=len(ids))))
+    return rows, n_columns
+
+
+def with_negative_zeros(gen, a):
+    a[gen.random(a.shape) < 0.1] = -0.0
+    return a
+
+
+def assert_same_bits(ours, theirs):
+    assert type(ours) is np.ndarray and ours.shape == theirs.shape
+    assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+
+class TestDesignMatrix:
+    """Below 2**16 ids the design is numpy's, with the products of scipy's
+    CSR matrix to the last bit."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e6, 1e300])
+    def test_products_match_csr(self, scale):
+        gen = np.random.default_rng(int(np.log10(scale)) + 300)
+        for _ in range(50):
+            rows, n_columns = random_design(gen)
+            ours = modelio.design_matrix(rows, n_columns)
+            assert isinstance(ours, modelio.CountMatrix)
+            cols = np.concatenate(rows)
+            row_ids = np.repeat(np.arange(len(rows)), [len(ids) for ids in rows])
+            csr = sparse.csr_matrix((np.ones(len(cols)), (row_ids, cols)),
+                                    shape=(len(rows), n_columns))
+            n_out = int(gen.integers(1, 6))
+            W = with_negative_zeros(gen, scale * gen.normal(size=(n_columns, n_out)))
+            G = with_negative_zeros(gen, scale * gen.normal(size=(len(rows), n_out)))
+            assert_same_bits(ours @ W, csr @ W)
+            assert_same_bits(ours.T @ G, csr.T @ G)
+
+    def test_repeated_ids_count(self):
+        D = modelio.design_matrix([np.array([2, 0, 2, 2]), np.array([], dtype=np.int64)], 3)
+        assert np.array_equal(D @ np.eye(3), [[1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(D.T @ np.ones((2, 1)), [[1.0], [0.0], [3.0]])
+
+    @pytest.mark.parametrize("n_ids, is_csr", [((1 << 16) - 1, False), (1 << 16, True)])
+    def test_csr_from_2_to_the_16_ids(self, n_ids, is_csr):
+        gen = np.random.default_rng(n_ids)
+        rows = np.array_split(gen.integers(0, 500, size=n_ids), 4000)
+        D = modelio.design_matrix(rows, 500)
+        assert sparse.issparse(D) is is_csr
+        assert isinstance(D, modelio.CountMatrix) is not is_csr
 
 
 @pytest.fixture(scope="module")
