@@ -229,19 +229,24 @@ def compute_domain_stats(
     by_domain: dict[str, list[float]] = {}
     for u in corpus:
         by_domain.setdefault(u.domain, []).append(_normalized(u, translations))
-    return {
-        d: DomainStats(_mean(xs), statistics.pstdev(xs), len(xs))
-        for d, xs in by_domain.items()
-    }
+    return {d: DomainStats(*_mean_and_stdev(xs), len(xs)) for d, xs in by_domain.items()}
 
 
-def _mean(xs: list[float]) -> float:
-    """`statistics.fmean` of `xs`, or their exact mean where fmean's sum
-    passes the float maximum (the mean itself cannot)."""
+# a power of two that brings the square of any float within the float range
+_SHRINK = 2.0 ** -600
+
+
+def _mean_and_stdev(xs: list[float]) -> tuple[float, float]:
+    """`statistics.fmean` and `statistics.pstdev` of `xs`.  Where a sum on the
+    way passes the float maximum (fmean's sum, or pstdev's variance before
+    Python 3.11), both are taken of `xs` times `_SHRINK` and scaled back:
+    the bits they would have without a float maximum, unless a scaled score
+    falls below the normal range."""
     try:
-        return statistics.fmean(xs)
+        return statistics.fmean(xs), statistics.pstdev(xs)
     except OverflowError:
-        return statistics.mean(xs)
+        small = [x * _SHRINK for x in xs]
+        return statistics.fmean(small) / _SHRINK, statistics.pstdev(small) / _SHRINK
 
 
 _SCORE_TOLERANCE = 1e-9

@@ -178,8 +178,13 @@ class _Design:
         self.phi = design_matrix(rows, n_features)
         # Feature/label and label-bigram counts of the gold sequences: the
         # score of every gold path together, and the empirical side of the
-        # gradient.
-        self.gold_emissions = self.phi.T @ np.eye(n_labels)[gold]
+        # gradient.  The feature/label counts stay integers, which the float
+        # arithmetic below takes exactly.
+        ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        id_labels = np.repeat(np.asarray(gold, dtype=np.int64), [len(r) for r in rows])
+        self.gold_emissions = np.bincount(
+            ids * n_labels + id_labels, minlength=n_features * n_labels
+        ).reshape(n_features, n_labels)
         self.gold_transitions = np.zeros((n_labels, n_labels))
         for _, labels in sequences:
             for a, b in zip(labels, labels[1:]):

@@ -1,11 +1,12 @@
 """What the slot tagger and the intent classifier share: feature ids, the
 sparse design matrix, `logsumexp` and the model file.
 
-A design matrix of fewer than 2**16 ids is a `CountMatrix`, whose products
+A design matrix of fewer than 37,000 ids is a `CountMatrix`, whose products
 take numpy alone; a larger one is scipy's CSR matrix, which multiplies
-faster at that size.  Both give the same products to the last bit, so a
-model does not depend on which one it was trained with, and only training
-on a large corpus pays for the import of scipy.
+faster at that size, and so is every design built after it in the same
+process, since the import of scipy is paid by then.  Both give the same
+products to the last bit, so a model does not depend on which one it was
+trained with, and only training on a large corpus imports scipy.
 
 A model file is one line of JSON with sorted keys and no spaces, so that the
 same weights always give the same bytes.  Both models write one envelope --
@@ -19,6 +20,7 @@ that names the file.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,9 +39,9 @@ def feature_ids(feats: Iterable[str], index: dict[str, int], grow: bool = False)
     return np.asarray(ids, dtype=np.int64)
 
 
-# the number of ids from which a design is scipy's CSR matrix: the measured
-# point where its faster products outweigh the cost of importing scipy
-_CSR_MIN_ENTRIES = 1 << 16
+# the number of ids from which a design is scipy's CSR matrix: about where,
+# in a measured run, its faster products outweigh the cost of importing scipy
+_CSR_MIN_ENTRIES = 37_000
 
 
 class CountMatrix:
@@ -56,6 +58,14 @@ class CountMatrix:
                  shape: tuple[int, int]):
         self.rows, self.cols, self.count, self.shape = rows, cols, count, shape
 
+    @classmethod
+    def of_entries(cls, row_ids: np.ndarray, cols: np.ndarray,
+                   shape: tuple[int, int]) -> "CountMatrix":
+        """The matrix with a 1 at each (`row_ids[e]`, `cols[e]`); repeated
+        entries add up."""
+        (rows, cols), count = np.unique(np.stack([row_ids, cols]), axis=1, return_counts=True)
+        return cls(rows, cols, count.astype(float), shape)
+
     @property
     def T(self) -> "CountMatrix":
         return CountMatrix(self.cols, self.rows, self.count, self.shape[::-1])
@@ -69,17 +79,16 @@ class CountMatrix:
 
 def design_matrix(rows: Sequence[Sequence[int]], n_columns: int):
     """Matrix with one row per id list and a 1 at each id; repeated ids add
-    up.  A `CountMatrix` below `_CSR_MIN_ENTRIES` ids, else scipy's CSR
-    matrix."""
+    up.  A `CountMatrix` below `_CSR_MIN_ENTRIES` ids while scipy is not
+    loaded, else scipy's CSR matrix."""
     cols = np.concatenate(rows) if len(rows) else np.zeros(0, dtype=np.int64)
     row_ids = np.repeat(np.arange(len(rows)), [len(ids) for ids in rows])
-    if len(cols) < _CSR_MIN_ENTRIES:
-        (row_ids, cols), count = np.unique(np.stack([row_ids, cols]), axis=1,
-                                           return_counts=True)
-        return CountMatrix(row_ids, cols, count.astype(float), (len(rows), n_columns))
+    shape = (len(rows), n_columns)
+    if len(cols) < _CSR_MIN_ENTRIES and "scipy.sparse" not in sys.modules:
+        return CountMatrix.of_entries(row_ids, cols, shape)
     from scipy import sparse  # training on a large corpus only
 
-    return sparse.csr_matrix((np.ones(len(cols)), (row_ids, cols)), shape=(len(rows), n_columns))
+    return sparse.csr_matrix((np.ones(len(cols)), (row_ids, cols)), shape=shape)
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -52,6 +52,8 @@ MUTANTS = [
     ("nlu/modelio.py", "column[self.cols] * self.count", "column[self.cols]"),
     # small designs are scipy's CSR matrix and large ones numpy's
     ("nlu/modelio.py", "len(cols) < _CSR_MIN_ENTRIES", "len(cols) >= _CSR_MIN_ENTRIES"),
+    # a small design stays numpy's after a large one has imported scipy
+    ("nlu/modelio.py", 'and "scipy.sparse" not in sys.modules', ""),
     ("translate.py", "hyp.target + tgt < kept.target", "hyp.target + tgt > kept.target"),
     ("translate.py", "score > kept.score", "score >= kept.score"),
     # two run inputs loaded in the other order

@@ -682,8 +682,8 @@ def scipy_modules_after(argv, run=_MAIN):
 
 
 class TestImports:
-    """Only training on a design of 2**16 ids or more imports scipy, and from
-    it only scipy.sparse."""
+    """Only training on a design of `_CSR_MIN_ENTRIES` ids or more imports
+    scipy, and from it only scipy.sparse."""
 
     def test_evaluate_imports_no_scipy(self, tmp_path, trained_models):
         config, models = trained_models
@@ -711,9 +711,13 @@ class TestImports:
         assert (tmp_path / "out" / "crf_model.json").exists()
 
     def test_large_design_imports_scipy_sparse_only(self):
-        modules = scipy_modules_after([], "import numpy as np; "
-                                      "from mtnlu.nlu.modelio import design_matrix; "
-                                      "design_matrix([np.zeros(1 << 16, dtype=np.int64)], 1); "
-                                      "code = 0")
+        # a design below the threshold is numpy's until a design at the
+        # threshold has imported scipy
+        modules = scipy_modules_after([], (
+            "import numpy as np; "
+            "from mtnlu.nlu.modelio import _CSR_MIN_ENTRIES as n, design_matrix; "
+            "kinds = [type(design_matrix([np.zeros(k, dtype=np.int64)], 1)).__name__ "
+            "for k in (n - 1, n, 1)]; "
+            "assert kinds == ['CountMatrix', 'csr_matrix', 'csr_matrix'], kinds; code = 0"))
         assert "scipy.sparse" in modules
         assert "scipy.special" not in modules

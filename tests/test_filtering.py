@@ -425,18 +425,31 @@ class TestDomainStats:
         with pytest.raises(ConfigError):
             compute_domain_stats(corpus, {})
 
-    def test_scores_whose_sum_passes_the_float_maximum(self):
-        # each score is finite, and so are their mean and stdev, but the
-        # running sum of fmean is not
-        scores = [1e308, 1.5e308, 1e308, -2e307]
+    @pytest.mark.parametrize("scores, mean, stdev", [
+        # every score is finite, and so are the mean and stdev, but fmean's
+        # sum is not, nor the variance that pstdev rounds to a float before
+        # Python 3.11
+        ([1.5 * 2.0**1022, 2.0**1021, 1.5 * 2.0**1022, 2.0**1021], 2.0**1022, 2.0**1021),
+        # the sum is finite, the variance is not
+        ([-(2.0**1022), 2.0**1022], 0.0, 2.0**1022),
+    ])
+    def test_scores_whose_sums_pass_the_float_maximum(self, scores, mean, stdev):
         corpus = [utt("u%d" % i, "I", "w") for i in range(len(scores))]
         translations = {u.id: TranslationResult(("x",), frozenset(), zero_scores(score))
                         for u, score in zip(corpus, scores)}
         st = compute_domain_stats(corpus, translations)["D"]
-        assert st.mean == statistics.mean(scores) == 8.25e307
-        assert st.stdev == statistics.pstdev(scores) and st.count == 4
+        assert (st.mean, st.stdev, st.count) == (mean, stdev, len(scores))
         out = score_filter(corpus, translations, {"D": st}, k=0.0)
-        assert [u.id for u in out.kept] == ["u0", "u1", "u2"]
+        assert [u.id for u in out.kept] == [u.id for u, x in zip(corpus, scores) if x >= mean]
+
+    def test_scores_in_the_float_range_keep_fmean_and_pstdev(self):
+        gen = random.Random(5)
+        scores = [gen.uniform(-50.0, 0.0) for _ in range(200)]
+        corpus = [utt("u%d" % i, "I", "w") for i in range(len(scores))]
+        translations = {u.id: TranslationResult(("x",), frozenset(), zero_scores(score))
+                        for u, score in zip(corpus, scores)}
+        st = compute_domain_stats(corpus, translations)["D"]
+        assert (st.mean, st.stdev) == (statistics.fmean(scores), statistics.pstdev(scores))
 
 
 class TestScoreFilter:

@@ -95,19 +95,23 @@ def assert_same_bits(ours, theirs):
     assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
 
 
-class TestDesignMatrix:
-    """Below 2**16 ids the design is numpy's, with the products of scipy's
-    CSR matrix to the last bit."""
+def entries(rows):
+    """The row and column of each id in `rows`."""
+    return np.repeat(np.arange(len(rows)), [len(ids) for ids in rows]), np.concatenate(rows)
+
+
+class TestCountMatrix:
+    """The numpy design has the products of scipy's CSR matrix to the last
+    bit.  Which of the two `design_matrix` returns is tested in a fresh
+    process (test_cli.py), since this one has imported scipy."""
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e6, 1e300])
     def test_products_match_csr(self, scale):
         gen = np.random.default_rng(int(np.log10(scale)) + 300)
         for _ in range(50):
             rows, n_columns = random_design(gen)
-            ours = modelio.design_matrix(rows, n_columns)
-            assert isinstance(ours, modelio.CountMatrix)
-            cols = np.concatenate(rows)
-            row_ids = np.repeat(np.arange(len(rows)), [len(ids) for ids in rows])
+            row_ids, cols = entries(rows)
+            ours = modelio.CountMatrix.of_entries(row_ids, cols, (len(rows), n_columns))
             csr = sparse.csr_matrix((np.ones(len(cols)), (row_ids, cols)),
                                     shape=(len(rows), n_columns))
             n_out = int(gen.integers(1, 6))
@@ -117,17 +121,10 @@ class TestDesignMatrix:
             assert_same_bits(ours.T @ G, csr.T @ G)
 
     def test_repeated_ids_count(self):
-        D = modelio.design_matrix([np.array([2, 0, 2, 2]), np.array([], dtype=np.int64)], 3)
+        rows = [np.array([2, 0, 2, 2]), np.array([], dtype=np.int64)]
+        D = modelio.CountMatrix.of_entries(*entries(rows), (2, 3))
         assert np.array_equal(D @ np.eye(3), [[1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
         assert np.array_equal(D.T @ np.ones((2, 1)), [[1.0], [0.0], [3.0]])
-
-    @pytest.mark.parametrize("n_ids, is_csr", [((1 << 16) - 1, False), (1 << 16, True)])
-    def test_csr_from_2_to_the_16_ids(self, n_ids, is_csr):
-        gen = np.random.default_rng(n_ids)
-        rows = np.array_split(gen.integers(0, 500, size=n_ids), 4000)
-        D = modelio.design_matrix(rows, 500)
-        assert sparse.issparse(D) is is_csr
-        assert isinstance(D, modelio.CountMatrix) is not is_csr
 
 
 @pytest.fixture(scope="module")
