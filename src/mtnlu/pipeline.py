@@ -13,13 +13,20 @@ report files stay reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, 3.5 MiB resident
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .corpus import (
     Catalog,
@@ -168,7 +175,7 @@ class PipelineConfig:
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.effective(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _validate_stages(stages: Sequence[str]) -> None:
@@ -183,7 +190,7 @@ def _validate_stages(stages: Sequence[str]) -> None:
 
 def stage_seed(seed: int, stage: str) -> int:
     """Per-stage seed derived from the run seed; stable across platforms."""
-    digest = hashlib.sha256(("%d|%s" % (seed, stage)).encode("utf-8")).digest()
+    digest = sha256(("%d|%s" % (seed, stage)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -353,6 +360,10 @@ def _stage_postprocess(config: PipelineConfig, state: PipelineResult, out: Path)
 
 
 def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
+    if not state.corpus:  # a run's corpus starts non-empty, so one of its stages emptied it
+        r = next(r for r in state.stage_reports if r.input_count and not r.output_count)
+        raise ValueError("no utterance left to train on: %s removed all %d (%s)"
+                         % (r.stage, r.input_count, format_removed(r.removed)))
     state.crf = train_slot_tagger(state.corpus, config.training, state.catalogs,
                                   "CRF slot tagger (stage train)")
     state.maxent = train_intent_classifier(state.corpus, config.training, state.catalogs,

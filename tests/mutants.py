@@ -68,6 +68,8 @@ MUTANTS = [
     ("pipeline.py", '"project" in config.stages', "False"),
     # post-processing draws from the run seed instead of its stage's seed
     ("pipeline.py", 'stage_seed(config.seed, "postprocess")', "config.seed"),
+    # the pipeline tries hashlib's SHA-256 first, which loads OpenSSL
+    ("pipeline.py", "from _sha2 import sha256", "from hashlib import sha256"),
     # retention reads the translated utterance instead of its source
     ("postprocess.py", "_retained(u, sources[u.id], retain, stats)", "_retained(u, u, retain, stats)"),
     # the readers split tokens without interning them

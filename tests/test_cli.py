@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mtnlu
+import test_pipeline
 import toytask
 from mtnlu import cli, pipeline
 from mtnlu.cli import main
@@ -130,6 +132,22 @@ class TestExitCodes:
         })
         assert main(["pipeline", "--config", config]) == 2
         assert "postprocess" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update, emptied", [
+        ({"mode": "INTENT_CONFIDENCE", "confidence_threshold": 1.0},
+         "filter-semantic removed all 30 (LOW_CONFIDENCE=30)"),
+        ({"score_multiplier": 1e308}, "filter-score removed all 30 (BELOW_THRESHOLD=30)"),
+    ], ids=["filter-semantic", "filter-score"])
+    def test_a_filter_that_removes_every_utterance_exits_two_naming_it(self, tmp_path, capsys,
+                                                                       update, emptied):
+        config = toytask.build_workspace(tmp_path, n_train=30, n_test=10,
+                                         config_update={"filter": update})
+        assert main(["pipeline", "--config", config]) == 2
+        failure = "no utterance left to train on: " + emptied
+        assert capsys.readouterr().err == "error: stage train failed: %s\n" % failure
+        rows = (tmp_path / "out" / "stage_reports.tsv").read_text(encoding="utf-8").splitlines()
+        assert [r.split("\t")[0] for r in rows[1:-1]] == list(pipeline.STAGES[:5])
+        assert rows[-1] == "# failed\ttrain\t" + failure
 
     def test_evaluate_without_models_exits_one(self, tmp_path, capsys):
         config = toytask.build_workspace(tmp_path)
@@ -660,50 +678,105 @@ class TestEntryPoint:
         assert "pipeline" in proc.stdout
 
 
-_REPORT_SCIPY = (
-    "import sys; %s; "
-    "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))); "
-    "sys.exit(code)"
-)
+_REPORT_MODULES = "import sys; %s; print(' '.join(sorted(sys.modules))); sys.exit(code)"
 _MAIN = "from mtnlu.cli import main; code = main(sys.argv[1:])"
+_OPENSSL = {"_hashlib", "ssl"}
+
+
+def python_output(code, argv):
+    """The last line that `python -c code argv` prints in a fresh process,
+    with `src` and `tests` on its path; the test process itself has imported
+    scipy and hashlib already."""
+    paths = [str(Path(mtnlu.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, paths + [os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def modules_after(argv, run=_MAIN):
+    """The modules loaded in a fresh process after `run` sets `code`, by
+    default to the exit code of `mtnlu argv`."""
+    return set(python_output(_REPORT_MODULES % run, argv).split())
 
 
 def scipy_modules_after(argv, run=_MAIN):
-    """The scipy modules loaded in a fresh process after `run` sets `code`,
-    by default to the exit code of `mtnlu argv`; the test process itself has
-    imported scipy already."""
-    src = str(Path(mtnlu.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY % run, *argv],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return {m for m in modules_after(argv, run) if m.partition(".")[0] == "scipy"}
+
+
+def command_argv(command, tmp_path, trained_models=None):
+    """The arguments of a toytask run of `command` whose inputs are in `tmp_path`."""
+    if command == "pipeline":
+        return ["pipeline", "--config", toytask.build_workspace(tmp_path, n_train=30, n_test=10)]
+    if command == "evaluate":
+        config, models = trained_models
+        shutil.copytree(models, tmp_path / "out")
+        return ["evaluate", "--config", config, "--out", str(tmp_path / "out")]
+    if command == "compare":
+        return ["compare", write_report(tmp_path / "a.tsv", 2138),
+                write_report(tmp_path / "b.tsv", 2072)]
+    paths = toytask.write_task_files(tmp_path)
+    argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
+            "--out", str(tmp_path / "x.tsv")]
+    for c in paths["source_catalogs"]:
+        argv += ["--catalog", c]
+    return argv
+
+
+# Block the modules named in argv[1] and put a module that wraps the built-in
+# SHA-256 under the name in argv[2], then report which `sha256` the pipeline
+# took, the digests it makes with it, and whether OpenSSL was loaded.
+_SHA256_SOURCE = """\
+import json, sys, types
+try:
+    from _sha2 import sha256 as builtin
+except ImportError:
+    from _sha256 import sha256 as builtin
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
+wrapper = types.ModuleType("sha256_wrapper")
+wrapper.sha256 = lambda data=b"": builtin(data)
+if sys.argv[2]:
+    sys.modules[sys.argv[2]] = wrapper
+from mtnlu import pipeline
+from test_pipeline import toytask_config
+print(json.dumps([pipeline.sha256 is wrapper.sha256, pipeline.stage_seed(7, "postprocess"),
+                  toytask_config("/ws").fingerprint(), "_hashlib" in sys.modules]))
+"""
 
 
 class TestImports:
     """Only training on a design of `_CSR_MIN_ENTRIES` ids or more imports
-    scipy, and from it only scipy.sparse."""
+    scipy, and from it only scipy.sparse.  The pipeline hashes with CPython's
+    built-in SHA-256, so no command that leaves scipy out loads OpenSSL
+    (scipy.sparse imports numpy.random, which loads hashlib)."""
 
     def test_evaluate_imports_no_scipy(self, tmp_path, trained_models):
-        config, models = trained_models
-        shutil.copytree(models, tmp_path / "out")
-        argv = ["evaluate", "--config", config, "--out", str(tmp_path / "out")]
-        assert scipy_modules_after(argv) == set()
+        assert scipy_modules_after(command_argv("evaluate", tmp_path, trained_models)) == set()
         assert (tmp_path / "out" / "semer_report.tsv").exists()
 
     def test_compare_imports_no_scipy(self, tmp_path):
-        a = write_report(tmp_path / "a.tsv", 2138)
-        b = write_report(tmp_path / "b.tsv", 2072)
-        assert scipy_modules_after(["compare", a, b]) == set()
+        assert scipy_modules_after(command_argv("compare", tmp_path)) == set()
 
     def test_sample_grammar_imports_no_scipy(self, tmp_path):
-        paths = toytask.write_task_files(tmp_path)
-        argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",
-                "--out", str(tmp_path / "x.tsv")]
-        for c in paths["source_catalogs"]:
-            argv += ["--catalog", c]
-        assert scipy_modules_after(argv) == set()
+        assert scipy_modules_after(command_argv("sample-grammar", tmp_path)) == set()
+
+    @pytest.mark.parametrize("command", ["pipeline", "evaluate", "compare", "sample-grammar"])
+    def test_commands_load_no_openssl(self, tmp_path, trained_models, command):
+        assert modules_after(command_argv(command, tmp_path, trained_models)) & _OPENSSL == set()
+
+    @pytest.mark.parametrize("blocked, injected", [
+        ("", "_sha2"), ("_sha2", "_sha256"), ("_sha2,_sha256", ""),
+    ], ids=["_sha2", "_sha256", "hashlib"])
+    def test_every_sha256_source_gives_the_same_digests(self, blocked, injected):
+        wrapped, seed, fingerprint, openssl = json.loads(
+            python_output(_SHA256_SOURCE, [blocked, injected]))
+        assert wrapped == bool(injected)
+        assert seed == int.from_bytes(hashlib.sha256(b"7|postprocess").digest()[:8], "big")
+        assert fingerprint == test_pipeline.TestConfigSchema.GOLDEN["toytask"]
+        assert openssl == (not injected)
 
     def test_small_train_imports_no_scipy(self, tmp_path):
         config = toytask.build_workspace(tmp_path, n_train=30, n_test=10)
