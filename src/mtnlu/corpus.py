@@ -478,6 +478,8 @@ def _shown(value) -> str:
         text = json.dumps(value)
     except RecursionError:  # nested nearly as deep as `read_json` can decode
         text = "a value nested too deep to show"
+    except TypeError:  # not JSON data, as an argument given in Python may be
+        text = repr(value)
     return text if len(text) <= 60 else text[:56] + " ..."
 
 

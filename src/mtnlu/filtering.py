@@ -237,11 +237,10 @@ _SHRINK = 2.0 ** -600
 
 
 def _mean_and_stdev(xs: list[float]) -> tuple[float, float]:
-    """`statistics.fmean` and `statistics.pstdev` of `xs`.  Where a sum on the
-    way passes the float maximum (fmean's sum, or pstdev's variance before
-    Python 3.11), both are taken of `xs` times `_SHRINK` and scaled back:
-    the bits they would have without a float maximum, unless a scaled score
-    falls below the normal range."""
+    """`statistics.fmean` and `statistics.pstdev` of `xs`.  Where fmean's sum
+    passes the float maximum, both are taken of `xs` times `_SHRINK` and scaled
+    back: the bits they would have without a float maximum, unless a scaled
+    score falls below the normal range."""
     try:
         return statistics.fmean(xs), statistics.pstdev(xs)
     except OverflowError:

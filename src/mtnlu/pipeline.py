@@ -24,7 +24,7 @@ try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, 3.5 MiB resident
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
+        from _sha256 import sha256  # Python 3.11
     except ImportError:
         from hashlib import sha256
 
@@ -313,21 +313,19 @@ def _write_stage_reports(
 # --- stages -------------------------------------------------------------------
 
 
-def _stage_translate(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_translate(config: PipelineConfig, state: PipelineResult):
     removed: list[tuple[str, str]] = []
     pairs = list(translated(state.corpus, state.forward, removed))
     state.translations = {u.id: result for u, result in pairs}
-    save_translations(
-        dict(sorted(state.translations.items())), out / "translations.tsv"
-    )
-    return FilterOutcome([u for u, _ in pairs], removed)
+    return FilterOutcome([u for u, _ in pairs], removed), {"translations.tsv": lambda path: (
+        save_translations(dict(sorted(state.translations.items())), path))}
 
 
-def _stage_project(config: PipelineConfig, state: PipelineResult, out: Path):
-    return project_corpus(state.corpus, FileTranslator(state.translations))
+def _stage_project(config: PipelineConfig, state: PipelineResult):
+    return project_corpus(state.corpus, FileTranslator(state.translations)), {}
 
 
-def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult):
     crf = None  # only the INTENT_SLOTS mode reads source slots
     if config.filter.mode == MODE_INTENT_SLOTS:
         crf = train_slot_tagger(state.source, config.training, state.source_catalogs,
@@ -336,30 +334,31 @@ def _stage_filter_semantic(config: PipelineConfig, state: PipelineResult, out: P
                                      "MaxEnt intent classifier (stage filter-semantic)")
     # the project stage, when the run has it, has just made the projections
     projection = (FilterOutcome(state.corpus, []) if "project" in config.stages
-                  else _stage_project(config, state, out))
-    return roundtrip_check(projection, state.source, state.backward, (crf, maxent), config.filter)
+                  else _stage_project(config, state)[0])
+    return roundtrip_check(projection, state.source, state.backward, (crf, maxent),
+                           config.filter), {}
 
 
-def _stage_filter_score(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_filter_score(config: PipelineConfig, state: PipelineResult):
     stats = compute_domain_stats(state.corpus, state.translations)
-    write_lines(out / "score_stats.tsv", ["domain\tmean\tstdev\tcount"] + [
+    lines = ["domain\tmean\tstdev\tcount"] + [
         "%s\t%r\t%r\t%d" % (domain, st.mean, st.stdev, st.count)
         for domain, st in sorted(stats.items())
-    ])
+    ]
     return score_filter(
         state.corpus, state.translations, stats, config.filter.score_multiplier
-    )
+    ), {"score_stats.tsv": lambda path: write_lines(path, lines)}
 
 
-def _stage_postprocess(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_postprocess(config: PipelineConfig, state: PipelineResult):
     stats: dict[str, int] = {}
     corpus = combined_postprocess(state.corpus, state.source, state.catalogs, config.postprocess,
                                   stage_seed(config.seed, "postprocess"), stats)
-    write_lines(out / "postprocess_stats.tsv", ("%s\t%d" % kv for kv in sorted(stats.items())))
-    return FilterOutcome(corpus, [])
+    return FilterOutcome(corpus, []), {"postprocess_stats.tsv": lambda path: write_lines(
+        path, ("%s\t%d" % kv for kv in sorted(stats.items())))}
 
 
-def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_train(config: PipelineConfig, state: PipelineResult):
     if not state.corpus:  # a run's corpus starts non-empty, so one of its stages emptied it
         r = next(r for r in state.stage_reports if r.input_count and not r.output_count)
         raise ValueError("no utterance left to train on: %s removed all %d (%s)"
@@ -368,15 +367,12 @@ def _stage_train(config: PipelineConfig, state: PipelineResult, out: Path):
                                   "CRF slot tagger (stage train)")
     state.maxent = train_intent_classifier(state.corpus, config.training, state.catalogs,
                                            "MaxEnt intent classifier (stage train)")
-    state.crf.save(out / "crf_model.json")
-    state.maxent.save(out / "intent_model.json")
+    return None, {"crf_model.json": state.crf.save, "intent_model.json": state.maxent.save}
 
 
-def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
+def _stage_evaluate(config: PipelineConfig, state: PipelineResult):
     hypotheses = {u.id: predict(state.crf, state.maxent, u.tokens) for u in state.test}
-    report = semer(state.test, hypotheses)
-    state.semer_report = report
-    write_semer_report(report, out / "semer_report.tsv")
+    state.semer_report = semer(state.test, hypotheses)
     lines = []
     for u in state.test:
         hyp = hypotheses[u.id]
@@ -384,15 +380,16 @@ def _stage_evaluate(config: PipelineConfig, state: PipelineResult, out: Path):
             Utterance(u.id, u.domain, hyp.intent, u.tokens, hyp.slots)
         )
         lines.append("%s\t%.6f" % (rendered, hyp.intent_confidence))
-    write_lines(out / "hypotheses.tsv", lines)
+    return None, {"semer_report.tsv": lambda path: write_semer_report(state.semer_report, path),
+                  "hypotheses.tsv": lambda path: write_lines(path, lines)}
 
 
 # Each stage in run order: what it reads, what it makes for the stages after
 # it in the same run (a run reads the rest from files, see `_file_inputs`),
-# its handler, and the two files that `run_pipeline` writes the kept corpus
-# and the removals of the handler's FilterOutcome to (a handler that passes
-# no corpus on returns None).
-_STAGES: dict[str, tuple[set[str], str | None, Callable[..., FilterOutcome | None],
+# its handler, and the files for its FilterOutcome's kept corpus and removals.
+# A handler touches no file: it returns its FilterOutcome (None if it passes no
+# corpus on) and, by name, a writer `path -> None` for each other file it makes.
+_STAGES: dict[str, tuple[set[str], str | None, Callable[..., tuple[FilterOutcome | None, dict]],
                          tuple[str | None, str | None]]] = {
     "translate": ({"source", "forward"}, "translations", _stage_translate, (None, None)),
     "project": ({"source", "translations"}, None, _stage_project,
@@ -520,13 +517,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         input_count = len(state.test) if stage == "evaluate" else len(state.corpus)
         started = time.perf_counter()
         try:
-            outcome = run(config, state, out)
+            outcome, writers = run(config, state)
             if outcome is not None:
                 state.corpus = outcome.kept
-                if corpus_file is not None:
-                    save_corpus(outcome.kept, out / corpus_file)
-                if removed_file is not None:
-                    write_lines(out / removed_file, ("%s\t%s" % r for r in outcome.removed))
+                writers[corpus_file] = lambda path: save_corpus(outcome.kept, path)
+                writers[removed_file] = lambda path: write_lines(
+                    path, ("%s\t%s" % r for r in outcome.removed))
+            for name, write in writers.items():
+                if name is not None:  # a stage with no corpus or no removals file
+                    write(out / name)
         except Exception as exc:  # noqa: BLE001 - reported as a stage failure
             failed = (stage, exc)
             break

@@ -68,6 +68,9 @@ MUTANTS = [
     ("pipeline.py", '"project" in config.stages', "False"),
     # post-processing draws from the run seed instead of its stage's seed
     ("pipeline.py", 'stage_seed(config.seed, "postprocess")', "config.seed"),
+    # a stage writes only the first of its files
+    ("pipeline.py", "for name, write in writers.items():",
+     "for name, write in list(writers.items())[:1]:"),
     # the pipeline tries hashlib's SHA-256 first, which loads OpenSSL
     ("pipeline.py", "from _sha2 import sha256", "from hashlib import sha256"),
     # retention reads the translated utterance instead of its source

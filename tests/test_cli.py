@@ -123,7 +123,7 @@ class TestExitCodes:
     def test_stage_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         reads, makes, _, files = pipeline._STAGES["postprocess"]
 
-        def failing_handler(config, state, out):
+        def failing_handler(config, state):
             raise ValueError("postprocess handler failed")
 
         monkeypatch.setitem(pipeline._STAGES, "postprocess", (reads, makes, failing_handler, files))

@@ -5,6 +5,7 @@ import functools
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -42,7 +43,7 @@ def fail_postprocess(monkeypatch):
     """Make the postprocess stage's handler raise."""
     reads, makes, _, files = pipeline._STAGES["postprocess"]
 
-    def failing_handler(config, state, out):
+    def failing_handler(config, state):
         raise ValueError("postprocess handler failed")
 
     monkeypatch.setitem(pipeline._STAGES, "postprocess", (reads, makes, failing_handler, files))
@@ -50,6 +51,18 @@ def fail_postprocess(monkeypatch):
 
 def assert_same_files(a, b):
     assert toytask.differing_files(a, b) == set()
+
+
+def readme_stage_files():
+    """README's stage table: the files each stage writes, by stage."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-z-]+)` \| .* \| (.*) \|$", readme.read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    return {stage: set(re.findall(r"`([^`]+)`", writes)) for stage, writes in rows}
+
+
+# what every run writes beside the files of its stages
+RUN_FILES = {"effective_config.json", "stage_reports.tsv"}
 
 
 class TestConfigLoading:
@@ -108,6 +121,11 @@ class TestConfigLoading:
                                  "test_corpus": "c.json"}), encoding="utf-8-sig")
         assert p.read_bytes().startswith(b"\xef\xbb\xbf{")
         assert load_pipeline_config(str(p)).test_corpus == str(p)
+
+    def test_out_dir_that_is_not_a_string_names_the_config(self, tmp_path):
+        config_path = toytask.build_workspace(tmp_path)
+        with pytest.raises(ConfigError, match=r"config\.json: out_dir must be a string, got .*'x'"):
+            load_pipeline_config(config_path, out_dir=Path("x"))
 
     def test_out_dir_required(self, tmp_path):
         p = tmp_path / "c.json"
@@ -793,9 +811,9 @@ class TestReleasedInputs:
         reads, makes, handler, files = pipeline._STAGES["filter-score"]
         seen = []
 
-        def spy(config, state, out):
+        def spy(config, state):
             seen.append((state.source_catalogs, state.backward, bool(state.translations)))
-            return handler(config, state, out)
+            return handler(config, state)
 
         monkeypatch.setitem(pipeline._STAGES, "filter-score", (reads, makes, spy, files))
         result = run_config(toytask.build_workspace(tmp_path, n_train=30, n_test=10))
@@ -813,6 +831,64 @@ class TestReleasedInputs:
                        Utterance("u1", "d", "i", ("a",)), scores,
                        TranslationResult(("a",), frozenset(), scores)):
             assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+class TestStageFiles:
+    """`run_pipeline` writes every file of a run; no stage handler touches one."""
+
+    def test_handlers_leave_the_output_directory_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        changed = []
+
+        def listing():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        for stage, (reads, makes, handler, files) in list(pipeline._STAGES.items()):
+            def checked(*args, stage=stage, handler=handler):
+                before = listing()
+                result = handler(*args)
+                if listing() != before:
+                    changed.append(stage)
+                return result
+
+            monkeypatch.setitem(pipeline._STAGES, stage, (reads, makes, checked, files))
+        run_config(toytask.build_workspace(tmp_path, n_train=40, n_test=10))
+        assert changed == []
+        written = set(listing())
+        assert written == set().union(RUN_FILES, *readme_stage_files().values())
+        assert len(written) == 16
+
+    def test_a_failed_stage_writes_none_of_its_files(self, tmp_path, monkeypatch):
+        def failing_score_filter(*args):
+            raise ValueError("score filter failed")
+
+        monkeypatch.setattr(pipeline, "score_filter", failing_score_filter)
+        config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)
+        assert main(["pipeline", "--config", config_path]) == 2
+        out = tmp_path / "out"
+        lines = (out / "stage_reports.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            "stage", "translate", "project", "filter-semantic", "# failed"]
+        assert lines[-1] == "# failed\tfilter-score\tscore filter failed"
+        assert not (out / "score_stats.tsv").exists()
+        assert not (out / "corpus_scored.tsv").exists()
+
+    def test_each_stage_writes_the_files_in_the_readme_table(self, tmp_path):
+        config_path = Path(toytask.build_workspace(tmp_path, n_train=40, n_test=10))
+        out = tmp_path / "out"
+        table = readme_stage_files()
+        assert list(table) == list(STAGES)
+        for stage in STAGES:
+            for p in out.glob("*"):  # a file this stage writes gets a new mtime
+                os.utime(p, ns=(0, 0))
+            run_config(config_path, stages=[stage])
+            written = {p.name for p in out.iterdir() if p.stat().st_mtime_ns}
+            assert written == table[stage] | RUN_FILES, stage
+            if stage == "translate":  # the later stages read what it wrote
+                config = json.loads(config_path.read_text(encoding="utf-8"))
+                del config["translation"]["forward_phrase_table"]
+                config["translation"]["forward_translations"] = str(out / "translations.tsv")
+                config_path.write_text(json.dumps(config), encoding="utf-8")
 
 
 def test_convergence_warnings_name_their_stage(tmp_path, caplog):
