@@ -16,7 +16,7 @@ from .crf import (
     train_slot_tagger,
     viterbi,
 )
-from .features import extract_features, intent_features, sequence_features
+from .features import intent_features, sequence_features
 from .maxent import (
     MaxEntModel,
     classify_intent,
@@ -37,7 +37,6 @@ __all__ = [
     "bio_labels",
     "classify_intent",
     "crf_objective",
-    "extract_features",
     "intent_features",
     "intent_posteriors",
     "maxent_objective",

@@ -72,19 +72,11 @@ def _position_features(tokens: Sequence[str], i: int, hits: list[set[str]]) -> l
     return feats
 
 
-def extract_features(
-    tokens: Sequence[str], position: int, gazetteers: Gazetteers | None = None
-) -> list[str]:
-    """Tagger features for one position; order and content are deterministic."""
-    if not 0 <= position < len(tokens):
-        raise ValueError("position %d out of range" % position)
-    return _position_features(tokens, position, gazetteer_hits(tokens, gazetteers))
-
-
 def sequence_features(
     tokens: Sequence[str], gazetteers: Gazetteers | None = None
 ) -> list[list[str]]:
-    """`extract_features` for every position, scanning gazetteers once."""
+    """Tagger features of every position, scanning gazetteers once; their
+    order and content are deterministic."""
     hits = gazetteer_hits(tokens, gazetteers)
     return [_position_features(tokens, i, hits) for i in range(len(tokens))]
 

@@ -12,6 +12,7 @@ finite differences.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,6 +48,16 @@ class MinimizeResult:
 _HISTORY = 10  # (step, gradient change) pairs kept for the two-loop recursion
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_DOT_CHUNK = 10_000  # OpenBLAS splits a longer dot across threads, in an order that varies
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b added in the same order whatever the BLAS thread count: one
+    BLAS dot per `_DOT_CHUNK` entries, and the chunks' dots left to right."""
+    total = float(a[:_DOT_CHUNK] @ b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
+        total += float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK])
+    return total
 
 
 def _direction(g: np.ndarray, history: Sequence) -> np.ndarray:
@@ -57,17 +68,17 @@ def _direction(g: np.ndarray, history: Sequence) -> np.ndarray:
     newest pair.
     """
     if not history:
-        return -g / max(float(np.linalg.norm(g)), 1.0)
+        return -g / max(math.sqrt(_dot(g, g)), 1.0)
     q = g.copy()
     coefs = []
     for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q)
         q -= a * y
         coefs.append(a)
     s, y, rho = history[-1]
-    q *= 1.0 / (rho * float(y @ y))
+    q *= 1.0 / (rho * _dot(y, y))
     for (s, y, rho), a in zip(history, reversed(coefs)):
-        q += (a - rho * float(y @ q)) * s
+        q += (a - rho * _dot(y, q)) * s
     return -q
 
 
@@ -93,10 +104,10 @@ def minimize(
     converged = bool(np.max(np.abs(g), initial=0.0) <= tolerance)
     while iterations < max_iterations and not converged:
         d = _direction(g, history)
-        slope = float(g @ d)
+        slope = _dot(g, d)
         if not slope < 0:  # rounding broke the estimate: steepest descent
             d = _direction(g, ())
-            slope = float(g @ d)
+            slope = _dot(g, d)
         alpha = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -110,7 +121,7 @@ def minimize(
             break  # no further progress possible at float precision
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
+        sy = _dot(s, y)
         if sy > 0:  # keeps the estimate positive definite
             history.append((s, y, 1.0 / sy))
         x, f, g = x_new, f_new, g_new

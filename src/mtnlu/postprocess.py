@@ -1,6 +1,6 @@
 """Slot-value post-processing for translated corpora.
 
-Two complementary transforms and their combination:
+`combined_postprocess` applies two complementary transforms:
 
 * resampling — redraw the value of configured slot types from a weighted
   target-language catalog, so entity distributions match the target locale
@@ -9,18 +9,18 @@ Two complementary transforms and their combination:
   (song titles, artist names and similar should survive translation
   verbatim).
 
-One pass per utterance decides each slot's value once (see
-`combined_postprocess`) and rebuilds the token sequence and every slot span,
-so outputs always satisfy the corpus invariants.  Randomness is drawn from
-per-utterance streams derived from ``(seed, purpose, utterance id)``; the
-processing order of utterances therefore cannot change any output.
+One walk per utterance decides each slot's value once and rebuilds the
+token sequence and every slot span, so outputs always satisfy the corpus
+invariants.  Randomness is drawn from per-utterance streams derived from
+``(seed, purpose, utterance id)``; the processing order of utterances
+therefore cannot change any output.
 """
 
 from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import Catalog, Utterance, assemble, segments
 from .errors import ConfigError
@@ -52,26 +52,6 @@ class PostprocessConfig:
             raise ConfigError("mix_probability must lie in [0, 1], got %r" % (p,))
 
 
-def replace_slot_values(
-    utterance: Utterance, replacements: dict[int, tuple[str, ...]]
-) -> Utterance:
-    """Return a copy with the given slots' value tokens substituted.
-
-    ``replacements`` maps slot index (position in ``utterance.slots``) to the
-    new value tokens.  All later spans shift to absorb length changes.
-    """
-    if not replacements:
-        return utterance
-    parts = []
-    index = 0
-    for part, slot_type in segments(utterance):
-        if slot_type is not None:
-            part = replacements.get(index, part)
-            index += 1
-        parts.append((part, slot_type))
-    return Utterance(utterance.id, utterance.domain, utterance.intent, *assemble(parts))
-
-
 def _stream(seed: int, purpose: str, uid: str) -> random.Random:
     return random.Random("%s|%s|%s" % (seed, purpose, uid))
 
@@ -81,35 +61,6 @@ def check_resample_catalogs(types: frozenset[str], catalogs: dict[str, Catalog])
     missing = sorted(t for t in types if t not in catalogs)
     if missing:
         raise ConfigError("no catalog for resampled slot types: %s" % ", ".join(missing))
-
-
-def resample_slots(
-    corpus: list[Utterance],
-    catalogs: dict[str, Catalog],
-    config: PostprocessConfig,
-    seed: int = 0,
-) -> list[Utterance]:
-    """Redraw configured slot values from weighted catalogs."""
-    return combined_postprocess(
-        corpus, [], catalogs, replace(config, retain_original_slots=frozenset()), seed)
-
-
-def retain_original_slots(
-    translated_corpus: list[Utterance],
-    source_corpus: list[Utterance],
-    config: PostprocessConfig,
-    stats: dict[str, int] | None = None,
-) -> list[Utterance]:
-    """Copy source-language values back into configured slots.
-
-    The k-th slot of a configured type takes the value of the k-th slot of
-    that type in the source utterance with the same id.  Utterances where
-    the two sides disagree on the number of slots of a configured type pass
-    through unchanged; ``stats`` (if given) counts them under
-    MULTIPLICITY_MISMATCH.
-    """
-    return combined_postprocess(translated_corpus, source_corpus, {},
-                                replace(config, resample_slots=frozenset()), stats=stats)
 
 
 def _retained(
@@ -139,15 +90,18 @@ def combined_postprocess(
     seed: int = 0,
     stats: dict[str, int] | None = None,
 ) -> list[Utterance]:
-    """Decide each slot's value once, in slot order.
+    """Decide each slot's value once, in slot order, in one walk per utterance.
 
     A slot of a resampled type is redrawn from its catalog by the
     utterance's "resample" stream, seeded from ``(seed, utterance id)``; if
     its type is also retained, only when the utterance's "mix" stream comes
-    up below ``mix_probability``.  A slot not redrawn takes the retained
-    value of the source utterance with the same id (see
-    `retain_original_slots`) when its type is retained, and keeps its value
-    otherwise.
+    up below ``mix_probability``.  A slot not redrawn takes the value of the
+    slot of the same type and rank in the source utterance with the same id
+    when its type is retained, and keeps its own otherwise.  If the two
+    sides disagree on the number of slots of some retained type, no slot of
+    that utterance is retained, and ``stats`` (if given) counts it under
+    MULTIPLICITY_MISMATCH.  An utterance with nothing to change is passed on
+    as the same object.
     """
     resample, retain = config.resample_slots, config.retain_original_slots
     sources = {u.id: u for u in source_corpus}
@@ -157,13 +111,23 @@ def combined_postprocess(
     check_resample_catalogs(resample, catalogs)
     out = []
     for u in translated_corpus:
-        replacements = _retained(u, sources[u.id], retain, stats) if retain else {}
-        redraw = [(i, s.slot_type) for i, s in enumerate(u.slots) if s.slot_type in resample]
-        if redraw:  # seeding a stream costs more than a draw: only where one is read
+        retained = _retained(u, sources[u.id], retain, stats) if retain else {}
+        if any(s.slot_type in resample for s in u.slots):
+            # seeding a stream costs more than a draw: only where one is read
             rng_value = _stream(seed, "resample", u.id)
             rng_mix = _stream(seed, "mix", u.id)
-        for idx, t in redraw:
-            if t not in retain or rng_mix.random() < config.mix_probability:
-                replacements[idx] = catalogs[t].draw(rng_value).tokens
-        out.append(replace_slot_values(u, replacements))
+        elif not retained:
+            out.append(u)
+            continue
+        parts, index, changed = [], 0, False
+        for part, slot_type in segments(u):
+            if slot_type is not None:
+                if slot_type in resample and (slot_type not in retain
+                                              or rng_mix.random() < config.mix_probability):
+                    part, changed = catalogs[slot_type].draw(rng_value).tokens, True
+                elif index in retained:
+                    part, changed = retained[index], True
+                index += 1
+            parts.append((part, slot_type))
+        out.append(Utterance(u.id, u.domain, u.intent, *assemble(parts)) if changed else u)
     return out

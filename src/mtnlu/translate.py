@@ -48,12 +48,16 @@ class TranslationScores:
 
 
 def combined_score(components: Sequence[float], weights: Sequence[float]) -> float:
-    """Dot product of score components with their weights."""
+    """Dot product of score components with their weights, added left to
+    right (built-in `sum` compensates its rounding from Python 3.12 on)."""
     if len(components) != len(weights):
         raise ValueError(
             "got %d components but %d weights" % (len(components), len(weights))
         )
-    return sum(c * w for c, w in zip(components, weights))
+    total = 0.0
+    for c, w in zip(components, weights):
+        total += c * w
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,7 +289,7 @@ def decode(tokens: Sequence[str], model: PhraseTableModel) -> TranslationResult:
                     kept = stack.get(key)
                     if (kept is None or score > kept.score
                             or (score == kept.score and hyp.target + tgt < kept.target)):
-                        phrase = (i, j, len(hyp.target), length, tm_score)
+                        phrase = (i, j, len(hyp.target), length)
                         stack[key] = _Hyp(coverage, j, hyp.target + tgt, tm, lm, reord, score,
                                           hyp.phrases + (phrase,))
 
@@ -293,21 +297,14 @@ def decode(tokens: Sequence[str], model: PhraseTableModel) -> TranslationResult:
     if complete is None:
         raise ValueError("no complete hypothesis for %r" % (tokens,))
 
-    # Recompute components wholesale so that the reported numbers do not
-    # depend on the order of incremental accumulation.
-    tm = sum(ph[4] for ph in complete.phrases)
-    lm = model.lm.score(complete.target)
-    reord = 0.0
-    prev_end = 0
-    for i, j, _, _, _ in complete.phrases:
-        reord -= abs(i - prev_end)
-        prev_end = j
+    # The search adds tm and reordering phrase by phrase, left to right; the
+    # LM is rescored whole, because the search groups its terms by phrase.
     wp = -float(len(complete.target))
-    components = (tm, lm, reord, wp)
+    components = (complete.tm, model.lm.score(complete.target), complete.reord, wp)
     scores = TranslationScores(*components, combined_score(components, model.weights))
     alignment = frozenset(
         (s, t)
-        for i, j, k, l, _ in complete.phrases
+        for i, j, k, l in complete.phrases
         for s in range(i, j)
         for t in range(k, l)
     )

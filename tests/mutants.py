@@ -75,6 +75,17 @@ MUTANTS = [
     ("pipeline.py", "from _sha2 import sha256", "from hashlib import sha256"),
     # retention reads the translated utterance instead of its source
     ("postprocess.py", "_retained(u, sources[u.id], retain, stats)", "_retained(u, u, retain, stats)"),
+    # a retained value wins over a redraw of a type in both sets
+    ("postprocess.py", "if slot_type in resample and (",
+     "if index not in retained and slot_type in resample and ("),
+    # the optimizer's dots of more than 10,000 entries go to BLAS whole
+    ("nlu/optim.py", "_DOT_CHUNK = 10_000", "_DOT_CHUNK = 50_000"),
+    # the weighted total is added with built-in `sum`, which compensates
+    # its rounding from Python 3.12 on
+    ("translate.py",
+     "    total = 0.0\n    for c, w in zip(components, weights):\n        total += c * w\n"
+     "    return total\n",
+     "    return sum(c * w for c, w in zip(components, weights))\n"),
     # the readers split tokens without interning them
     ("corpus.py", "return tuple(map(sys.intern, text.split()))", "return tuple(text.split())"),
     # catalog entries keep the token strings they are given

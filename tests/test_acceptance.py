@@ -34,12 +34,7 @@ from mtnlu.nlu import (
     train_slot_tagger,
     viterbi,
 )
-from mtnlu.postprocess import (
-    PostprocessConfig,
-    combined_postprocess,
-    resample_slots,
-    retain_original_slots,
-)
+from mtnlu.postprocess import PostprocessConfig, combined_postprocess
 from mtnlu.semer import SemerCounts, SemerReport, compare_runs, semer, utterance_counts
 from mtnlu.translate import (
     BigramLM,
@@ -510,8 +505,8 @@ def test_criterion_7_postprocess():
             "u%06d" % i, "Info", "GetWeather", tokens,
             (make_span(tokens, "City", 2, 3),),
         ))
-    out = resample_slots(
-        corpus, {"City": catalog},
+    out = combined_postprocess(
+        corpus, [], {"City": catalog},
         PostprocessConfig(resample_slots=frozenset({"City"})), seed=5,
     )
     share = sum(u.slots[0].value == "berlin" for u in out) / len(out)
@@ -525,8 +520,8 @@ def test_criterion_7_postprocess():
     tgt_tokens = ("spiel", "wir", "sind", "die", "meister")
     tgt = Utterance("s1", "Music", "PlayMusic", tgt_tokens,
                     (make_span(tgt_tokens, "MediaName", 1, 5),))
-    retained = retain_original_slots(
-        [tgt], [src],
+    retained = combined_postprocess(
+        [tgt], [src], {},
         PostprocessConfig(retain_original_slots=frozenset({"MediaName"})),
     )[0]
     if retained.tokens != ("spiel", "we", "are", "the", "champions"):
@@ -559,8 +554,8 @@ def test_criterion_7_postprocess():
             "c%d" % case, "D", "I", tokens,
             tuple(make_span(tokens, t, s, e) for t, s, e in spans),
         )
-        out = resample_slots(
-            [u], catalogs,
+        out = combined_postprocess(
+            [u], [], catalogs,
             PostprocessConfig(resample_slots=frozenset({"A", "B"})), seed=case,
         )[0]
         # round-trips through the corpus file format

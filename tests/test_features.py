@@ -11,7 +11,6 @@ from mtnlu.nlu import (
     CrfModel,
     MaxEntModel,
     TrainingConfig,
-    extract_features,
     intent_features,
     sequence_features,
     train_intent_classifier,
@@ -25,7 +24,7 @@ CITY = {"City": Catalog("City", (CatalogEntry(("new", "york"), 1.0), CatalogEntr
 
 class TestTaggerFeatures:
     def test_single_token_with_padding(self):
-        feats = extract_features(("weiter",), 0)
+        feats = sequence_features(("weiter",))[0]
         assert "w0=weiter" in feats
         assert "w-1=<BOS>" in feats and "w-2=<BOS>" in feats
         assert "w+1=<EOS>" in feats and "w+2=<EOS>" in feats
@@ -33,38 +32,29 @@ class TestTaggerFeatures:
         assert "s1=r" in feats and "s3=ter" in feats
 
     def test_short_token_skips_long_affixes(self):
-        feats = extract_features(("in",), 0)
+        feats = sequence_features(("in",))[0]
         assert "p2=in" in feats and "s2=in" in feats
         assert not any(f.startswith(("p3=", "s3=")) for f in feats)
 
     def test_window_identities(self):
-        feats = extract_features(("a", "b", "c", "d", "e"), 2)
+        feats = sequence_features(("a", "b", "c", "d", "e"))[2]
         assert {"w-2=a", "w-1=b", "w0=c", "w+1=d", "w+2=e"} <= set(feats)
 
     def test_gazetteer_membership_single_token(self):
-        feats = extract_features(("weather", "in", "berlin"), 2, CITY)
-        assert "gaz:City" in feats
-        assert "gaz:City" not in extract_features(("weather", "in", "berlin"), 1, CITY)
+        feats = sequence_features(("weather", "in", "berlin"), CITY)
+        assert ["gaz:City" in f for f in feats] == [False, False, True]
 
     def test_gazetteer_marks_every_entry_position(self):
-        tokens = ("fly", "to", "new", "york", "now")
-        assert "gaz:City" in extract_features(tokens, 2, CITY)
-        assert "gaz:City" in extract_features(tokens, 3, CITY)
-        assert "gaz:City" not in extract_features(tokens, 4, CITY)
+        feats = sequence_features(("fly", "to", "new", "york", "now"), CITY)
+        assert ["gaz:City" in f for f in feats] == [False, False, True, True, False]
 
     def test_partial_entry_does_not_fire(self):
         # "new" alone is not an occurrence of the bigram entry "new york"
-        assert "gaz:City" not in extract_features(("new", "jersey"), 0, CITY)
-
-    def test_matches_sequence_features(self):
-        tokens = ("go", "to", "new", "york")
-        seq = sequence_features(tokens, CITY)
-        for i in range(len(tokens)):
-            assert extract_features(tokens, i, CITY) == seq[i]
+        assert "gaz:City" not in sequence_features(("new", "jersey"), CITY)[0]
 
     def test_deterministic(self):
         tokens = ("go", "to", "berlin")
-        assert extract_features(tokens, 2, CITY) == extract_features(tokens, 2, CITY)
+        assert sequence_features(tokens, CITY) == sequence_features(tokens, CITY)
 
 
 class TestIntentFeatures:

@@ -3,6 +3,10 @@ objectives that the gradient oracles check: each trainer minimises exactly
 `crf_objective` or `maxent_objective` of the model it returns."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +140,34 @@ def test_a_first_step_may_be_halved_more_than_thirty_times():
     result = optim.minimize(fun_grad, np.array([1e-12]), 1, 1e-15)
     assert len(evaluations) == 41 and result.iterations == 1
     assert result.values == pytest.approx([5e-12, 3.353718215601989e-12], rel=1e-9, abs=0)
+
+
+_LONG_QUADRATIC = """
+import hashlib
+import numpy as np
+from mtnlu.nlu import optim
+
+i = np.arange(40_000)
+d, b = 1.0 + i % 97, np.sin(i)
+x = optim.minimize(lambda x: (float(np.sum((0.5 * d * x - b) * x)), d * x - b),
+                   np.zeros(i.size), 15, 1e-12).x
+print(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_a_long_minimize_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 entries across its threads,
+    # which reorders the sum; the objective here adds with numpy alone, so
+    # only the optimizer's own dots could tell the two runs apart.  On a
+    # one-CPU runner both runs get one thread and this cannot fail.
+    src = str(Path(optim.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _LONG_QUADRATIC],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

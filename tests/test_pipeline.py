@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib.util
 import json
 import logging
 import os
@@ -783,6 +784,36 @@ class TestFullRun:
                   for s in u.slots if s.slot_type == "City"}
         assert {c.endswith("_de") for c in cities} == {True, False}
         assert_same_files(tmp_path / "a", tmp_path / "b")
+
+    def test_a_crf_of_more_than_10000_weights_does_not_depend_on_blas_threads(self, tmp_path,
+                                                                               monkeypatch):
+        # large-catalog (the benchmark's generator, at full size and seed 2)
+        # trains a CRF just over OpenBLAS's 10,000-entry threading threshold
+        # for a dot.  On a one-CPU runner both runs get one thread and this
+        # cannot fail.
+        spec = importlib.util.spec_from_file_location(
+            "pipebench_workloads",
+            Path(__file__).resolve().parent.parent / "pipebench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        config_path = workloads.generate("large-catalog", "full", tmp_path / "in", 2).config
+        src = str(Path(mtnlu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        models = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            out = tmp_path / threads
+            proc = subprocess.run([sys.executable, "-m", "mtnlu.cli", "pipeline", "--config",
+                                   str(config_path), "--out", str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            models.append((out / "crf_model.json").read_bytes())
+        model = json.loads(models[0])
+        labels = len(model["labels"])
+        assert len(model["features"]) * labels + labels * labels > 10_000
+        assert models[0] == models[1]
 
     def test_byte_order_marks_change_no_output(self, tmp_path):
         config_path = toytask.build_workspace(tmp_path, n_train=40, n_test=10)

@@ -13,14 +13,7 @@ from mtnlu.corpus import (
     serialize_utterance,
 )
 from mtnlu.errors import ConfigError
-from mtnlu.postprocess import (
-    MULTIPLICITY_MISMATCH,
-    PostprocessConfig,
-    combined_postprocess,
-    replace_slot_values,
-    resample_slots,
-    retain_original_slots,
-)
+from mtnlu.postprocess import MULTIPLICITY_MISMATCH, PostprocessConfig, combined_postprocess
 
 
 def catalog(slot_type, *weighted):
@@ -36,25 +29,42 @@ def utt(uid, text, slots=(), domain="D", intent="I"):
     return Utterance(uid, domain, intent, tokens, spans)
 
 
-class TestReplaceSlotValues:
-    def test_empty_replacement_is_identity(self):
+class TestPlacement:
+    def test_nothing_to_change_passes_the_same_object(self):
         u = utt("u1", "play queen now", [("Artist", 1, 2)])
-        assert replace_slot_values(u, {}) is u
+        cats = {"City": catalog("City", ("berlin", 1.0))}
+        cfg = PostprocessConfig(resample_slots={"City"}, retain_original_slots={"Song"})
+        (out,) = combined_postprocess([u], [u], cats, cfg, seed=1)
+        assert out is u
+
+    def test_declined_redraw_without_retained_value_passes_the_same_object(self):
+        source = utt("u1", "play a and b", [("Artist", 1, 2), ("Artist", 3, 4)])
+        u = utt("u1", "spiel x", [("Artist", 1, 2)])
+        cats = {"Artist": catalog("Artist", ("abba", 1.0))}
+        cfg = PostprocessConfig(resample_slots={"Artist"}, retain_original_slots={"Artist"},
+                                mix_probability=0.0)
+        (out,) = combined_postprocess([u], [source], cats, cfg, seed=1)
+        assert out is u
 
     def test_shifts_later_spans(self):
         u = utt("u1", "play queen at home", [("Artist", 1, 2), ("Place", 3, 4)])
-        out = replace_slot_values(u, {0: ("the", "rolling", "stones")})
+        cats = {"Artist": catalog("Artist", ("the rolling stones", 1.0))}
+        cfg = PostprocessConfig(resample_slots={"Artist"})
+        (out,) = combined_postprocess([u], [], cats, cfg, seed=1)
         assert out.tokens == ("play", "the", "rolling", "stones", "at", "home")
         assert [(s.slot_type, s.start, s.end, s.value) for s in out.slots] == [
             ("Artist", 1, 4, "the rolling stones"),
             ("Place", 5, 6, "home"),
         ]
 
-    def test_multiple_replacements(self):
-        u = utt("u1", "from a to b", [("Src", 1, 2), ("Dst", 3, 4)])
-        out = replace_slot_values(u, {0: ("x", "y"), 1: ("z",)})
-        assert out.tokens == ("from", "x", "y", "to", "z")
-        assert out.slots[0].value == "x y" and out.slots[1].value == "z"
+    def test_redrawn_and_retained_values_in_one_utterance(self):
+        source = utt("u1", "from x y to b", [("Src", 1, 3), ("Dst", 4, 5)])
+        u = utt("u1", "von a nach b", [("Src", 1, 2), ("Dst", 3, 4)])
+        cats = {"Dst": catalog("Dst", ("z", 1.0))}
+        cfg = PostprocessConfig(resample_slots={"Dst"}, retain_original_slots={"Src"})
+        (out,) = combined_postprocess([u], [source], cats, cfg, seed=1)
+        assert out.tokens == ("von", "x", "y", "nach", "z")
+        assert [(s.start, s.end, s.value) for s in out.slots] == [(1, 3, "x y"), (4, 5, "z")]
 
 
 class TestResample:
@@ -63,7 +73,8 @@ class TestResample:
             "u1\tWeather\tGetWeather\thow is the weather in [new york](City)",
         )
         cfg = PostprocessConfig(resample_slots={"City"})
-        (out,) = resample_slots([u], {"City": catalog("City", ("Berlin", 1.0))}, cfg, seed=1)
+        cats = {"City": catalog("City", ("Berlin", 1.0))}
+        (out,) = combined_postprocess([u], [], cats, cfg, seed=1)
         assert serialize_utterance(out) == (
             "u1\tWeather\tGetWeather\thow is the weather in [berlin](City)"
         )
@@ -72,20 +83,20 @@ class TestResample:
         cats = {"City": catalog("City", ("berlin", 3.0), ("hamburg", 1.0))}
         corpus = [utt("u%05d" % i, "go to x", [("City", 2, 3)]) for i in range(10000)]
         cfg = PostprocessConfig(resample_slots={"City"})
-        out = resample_slots(corpus, cats, cfg, seed=5)
+        out = combined_postprocess(corpus, [], cats, cfg, seed=5)
         share = sum(u.slots[0].value == "berlin" for u in out) / len(out)
         assert share == pytest.approx(0.75, abs=0.02)
 
     def test_empty_set_is_a_no_op(self):
         corpus = [utt("u1", "play queen", [("Artist", 1, 2)])]
-        out = resample_slots(corpus, {}, PostprocessConfig(), seed=3)
+        out = combined_postprocess(corpus, [], {}, PostprocessConfig(), seed=3)
         assert out == corpus
 
     def test_unconfigured_types_untouched(self):
         u = utt("u1", "play queen in berlin", [("Artist", 1, 2), ("City", 3, 4)])
         cats = {"Artist": catalog("Artist", ("abba", 1.0))}
         cfg = PostprocessConfig(resample_slots={"Artist"})
-        (out,) = resample_slots([u], cats, cfg, seed=1)
+        (out,) = combined_postprocess([u], [], cats, cfg, seed=1)
         assert out.slots[0].value == "abba"
         assert out.slots[1].value == "berlin"
         assert out.tokens[0] == "play" and out.tokens[2] == "in"
@@ -93,7 +104,7 @@ class TestResample:
     def test_missing_catalog_is_an_error(self):
         corpus = [utt("u1", "play queen", [("Artist", 1, 2)])]
         with pytest.raises(ConfigError, match="Artist"):
-            resample_slots(corpus, {}, PostprocessConfig(resample_slots={"Artist"}))
+            combined_postprocess(corpus, [], {}, PostprocessConfig(resample_slots={"Artist"}))
 
     def test_order_independence(self):
         rng = random.Random(11)
@@ -103,18 +114,19 @@ class TestResample:
             for i in range(40)
         ]
         cfg = PostprocessConfig(resample_slots={"Artist"})
-        straight = {u.id: u for u in resample_slots(corpus, cats, cfg, seed=9)}
+        straight = {u.id: u for u in combined_postprocess(corpus, [], cats, cfg, seed=9)}
         shuffled = list(corpus)
         rng.shuffle(shuffled)
-        reordered = {u.id: u for u in resample_slots(shuffled, cats, cfg, seed=9)}
+        reordered = {u.id: u for u in combined_postprocess(shuffled, [], cats, cfg, seed=9)}
         assert straight == reordered
 
     def test_same_seed_is_byte_identical(self):
         cats = {"Artist": catalog("Artist", ("a", 1.0), ("b", 1.0))}
         corpus = [utt("u%d" % i, "play x", [("Artist", 1, 2)]) for i in range(50)]
         cfg = PostprocessConfig(resample_slots={"Artist"})
-        first = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg, seed=2)]
-        second = [serialize_utterance(u) for u in resample_slots(corpus, cats, cfg, seed=2)]
+        first, second = ([serialize_utterance(u)
+                          for u in combined_postprocess(corpus, [], cats, cfg, seed=2)]
+                         for _ in range(2))
         assert first == second
 
 
@@ -127,19 +139,19 @@ class TestRetain:
             "t1\tMusic\tPlay\tspiel [wir sind die champions](SongName)"
         )
         cfg = PostprocessConfig(retain_original_slots={"SongName"})
-        (out,) = retain_original_slots([translated], [source], cfg)
+        (out,) = combined_postprocess([translated], [source], {}, cfg)
         assert out.slots[0].value == "we are the champions"
         assert out.tokens == ("spiel", "we", "are", "the", "champions")
 
     def test_empty_set_is_a_no_op(self):
         corpus = [utt("t1", "spiel x", [("SongName", 1, 2)])]
-        assert retain_original_slots(corpus, [], PostprocessConfig()) == corpus
+        assert combined_postprocess(corpus, [], {}, PostprocessConfig()) == corpus
 
     def test_occurrence_order_pairing(self):
         source = utt("t1", "from a to b", [("City", 1, 2), ("City", 3, 4)])
         translated = utt("t1", "von x nach y", [("City", 1, 2), ("City", 3, 4)])
         cfg = PostprocessConfig(retain_original_slots={"City"})
-        (out,) = retain_original_slots([translated], [source], cfg)
+        (out,) = combined_postprocess([translated], [source], {}, cfg)
         assert out.slots[0].value == "a" and out.slots[1].value == "b"
 
     def test_multiplicity_mismatch_passes_through(self):
@@ -147,7 +159,7 @@ class TestRetain:
         translated = utt("t1", "spiel nur x", [("Artist", 2, 3)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         stats = {}
-        (out,) = retain_original_slots([translated], [source], cfg, stats=stats)
+        (out,) = combined_postprocess([translated], [source], {}, cfg, stats=stats)
         assert out == translated
         assert stats == {MULTIPLICITY_MISMATCH: 1}
 
@@ -156,7 +168,7 @@ class TestRetain:
         translated = utt("missing", "spiel x", [("Artist", 1, 2)])
         cfg = PostprocessConfig(retain_original_slots={"Artist"})
         with pytest.raises(ConfigError, match="missing"):
-            retain_original_slots([translated], [source], cfg)
+            combined_postprocess([translated], [source], {}, cfg)
 
 
 def mixed_fixture(n=1, p=0.5):
@@ -182,21 +194,24 @@ class TestCombined:
         cats = {"Artist": catalog("Artist", ("a b", 1.0), ("c", 1.0))}
         cfg = PostprocessConfig(resample_slots={"Artist"}, retain_original_slots={"Song"})
         combined = combined_postprocess(translated, source, cats, cfg, seed=4)
-        staged = resample_slots(
-            retain_original_slots(translated, source, cfg), cats, cfg, seed=4
-        )
+        retained = combined_postprocess(
+            translated, source, {}, PostprocessConfig(retain_original_slots={"Song"}))
+        staged = combined_postprocess(
+            retained, [], cats, PostprocessConfig(resample_slots={"Artist"}), seed=4)
         assert combined == staged
         assert combined[0].slots[0].value == "orig"
 
     def test_p_one_equals_resampling_alone(self):
         source, translated, cats, cfg = mixed_fixture(n=30, p=1.0)
         combined = combined_postprocess(translated, source, cats, cfg, seed=7)
-        assert combined == resample_slots(translated, cats, cfg, seed=7)
+        resampled = PostprocessConfig(resample_slots=cfg.resample_slots)
+        assert combined == combined_postprocess(translated, [], cats, resampled, seed=7)
 
     def test_p_zero_equals_retention_alone(self):
         source, translated, cats, cfg = mixed_fixture(n=30, p=0.0)
         combined = combined_postprocess(translated, source, cats, cfg, seed=7)
-        assert combined == retain_original_slots(translated, source, cfg)
+        retained = PostprocessConfig(retain_original_slots=cfg.retain_original_slots)
+        assert combined == combined_postprocess(translated, source, {}, retained)
 
     def test_mix_probability_frequencies(self):
         source, translated, cats, cfg = mixed_fixture(n=10000, p=0.3)
@@ -251,8 +266,11 @@ class TestGolden:
         stats = {}
         out = {
             "combined": lambda: combined_postprocess(translated, source, cats, cfg, 11, stats),
-            "resample": lambda: resample_slots(translated, cats, cfg, 11),
-            "retain": lambda: retain_original_slots(translated, source, cfg, stats),
+            "resample": lambda: combined_postprocess(
+                translated, [], cats, PostprocessConfig(resample_slots=cfg.resample_slots), 11),
+            "retain": lambda: combined_postprocess(
+                translated, source, {},
+                PostprocessConfig(retain_original_slots=cfg.retain_original_slots), 11, stats),
         }[which]()
         return [serialize_utterance(u).split("\t")[3] for u in out], stats
 
@@ -311,7 +329,7 @@ class TestInvariantsOnRandomLayouts:
                     j += 1
             u = utt("u%d" % case, " ".join(tokens), spans)
             cfg = PostprocessConfig(resample_slots={"A", "B"})
-            (out,) = resample_slots([u], cats, cfg, seed=case)
+            (out,) = combined_postprocess([u], [], cats, cfg, seed=case)
             # round-trips through the serialized format => invariants hold
             assert parse_annotated_line(serialize_utterance(out)) == \
                 Utterance(out.id, out.domain, out.intent, out.tokens, out.slots)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from mtnlu.corpus import Utterance, make_span
+from mtnlu import translate
 from mtnlu.errors import FormatError
 from mtnlu.translate import (
     OVERLAP,
@@ -165,6 +166,26 @@ class TestDecode:
         a = decode(["wie", "geht", "es"], model)
         b = decode(["wie", "geht", "es"], model)
         assert a == b
+
+    def test_scores_add_left_to_right_on_every_python(self, monkeypatch):
+        """From Python 3.12 on, built-in `sum` compensates its rounding and
+        gives 0.1 + 0.2 + 0.3 == 0.6; the scores must not change with it."""
+        pairs = [(("a",), ("x",), 0.1), (("b",), ("y",), 0.2), (("c",), ("z",), 0.3)]
+        # with these weights a compensated sum also rounds the total otherwise
+        model = PhraseTableModel.from_pairs(pairs, weights=(0.7, 0.3, 1.0, 0.1), max_jump=0)
+
+        def check():
+            scores = decode(["a", "b", "c"], model).scores
+            assert scores.tm == 0.6000000000000001
+            total = 0.0
+            for c, w in zip(scores.components(), model.weights):
+                total += c * w
+            assert scores.weighted_total == total
+
+        check()
+        monkeypatch.setattr(translate, "sum", lambda values, start=0: start + math.fsum(values),
+                            raising=False)
+        check()
 
 
 class TestDecodeTies:
