@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .corpus import load_catalogs, load_grammar, sample_grammar, save_corpus, write_lines
-from .errors import MtnluError
+from .errors import FormatError, MtnluError
 from .pipeline import (
     STAGES,
     StageFailure,
@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
+def _count(text: str) -> int:
+    """A non-negative int, for `--count`."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
 
 
 # the stages `filter --kind` runs
@@ -73,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammar", required=True, help="template file")
     p.add_argument("--catalog", action="append", default=[],
                    help="catalog file (repeatable)")
-    p.add_argument("--count", type=int, required=True, help="number of utterances")
+    p.add_argument("--count", type=_count, required=True, help="number of utterances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--id-prefix", default="g")
     p.add_argument("--out", required=True, help="output corpus file")
@@ -115,6 +126,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sample_grammar(args) -> int:
     templates = load_grammar(args.grammar)
+    if args.count and not templates:
+        raise FormatError("the grammar has no templates", path=args.grammar)
     catalogs = load_catalogs(args.catalog)
     corpus = sample_grammar(templates, catalogs, args.count, args.seed, id_prefix=args.id_prefix)
     save_corpus(corpus, args.out)

@@ -88,14 +88,10 @@ class FilterOutcome:
         return dict(sorted(Counter(reason for _, reason in self.removed).items()))
 
 
-def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> dict:
-    counts: dict = {}
-    for s in slots:
-        key = s.slot_type if comparison == SLOTS_TYPES_ONLY else (
-            s.slot_type, s.value.lower()
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _slot_key(slots: Iterable[SlotSpan], comparison: str) -> Counter:
+    if comparison == SLOTS_TYPES_ONLY:
+        return Counter(s.slot_type for s in slots)
+    return Counter((s.slot_type, s.value.lower()) for s in slots)
 
 
 def translated(corpus: Iterable[Utterance], translator: Translator, removed: list,
@@ -268,12 +264,11 @@ def score_filter(
     missing = sorted({u.domain for u in corpus} - set(stats))
     if missing:
         raise ConfigError("no domain stats for: %s" % ", ".join(missing))
+    if k is None:
+        return FilterOutcome(list(corpus), [])
     kept: list[Utterance] = []
     removed: list[tuple[str, str]] = []
     for u in corpus:
-        if k is None:
-            kept.append(u)
-            continue
         st = stats[u.domain]
         margin = _SCORE_TOLERANCE * max(1.0, abs(st.mean))
         if _normalized(u, translations) >= st.mean + k * st.stdev - margin:

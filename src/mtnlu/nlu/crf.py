@@ -123,8 +123,7 @@ class CrfModel:
         ids = self.feature_ids(tokens)
         E = np.zeros((len(tokens), len(self.labels)))
         for t, row in enumerate(ids):
-            if row.size:
-                E[t] = self.emissions[row].sum(axis=0)
+            E[t] = self.emissions[row].sum(axis=0)
         return E
 
     def save(self, path) -> None:

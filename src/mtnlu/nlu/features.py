@@ -26,14 +26,6 @@ PAD_RIGHT = "<EOS>"
 Gazetteers = Mapping[str, Catalog]
 
 
-def _token_at(tokens: Sequence[str], i: int) -> str:
-    if i < 0:
-        return PAD_LEFT
-    if i >= len(tokens):
-        return PAD_RIGHT
-    return tokens[i]
-
-
 def gazetteer_hits(tokens: Sequence[str], gazetteers: Gazetteers | None) -> list[set[str]]:
     """Per-position set of slot types whose catalog contains a matching n-gram.
 
@@ -42,26 +34,25 @@ def gazetteer_hits(tokens: Sequence[str], gazetteers: Gazetteers | None) -> list
     """
     n = len(tokens)
     hits: list[set[str]] = [set() for _ in range(n)]
-    if not gazetteers:
-        return hits
-    lowered = [t.lower() for t in tokens]
-    for slot_type in sorted(gazetteers):
-        for m, entries in gazetteers[slot_type].entries_by_length.items():
+    lowered = tuple(t.lower() for t in tokens)
+    for slot_type, catalog in (gazetteers or {}).items():
+        for m, entries in catalog.entries_by_length.items():
             for i in range(n - m + 1):
-                if tuple(lowered[i : i + m]) in entries:
+                if lowered[i : i + m] in entries:
                     for k in range(i, i + m):
                         hits[k].add(slot_type)
     return hits
 
 
-def _position_features(tokens: Sequence[str], i: int, hits: list[set[str]]) -> list[str]:
-    tok = tokens[i]
+def _position_features(padded: Sequence[str], i: int, hits: list[set[str]]) -> list[str]:
+    """Features of token i; `padded` holds the tokens between two pads a side."""
+    tok = padded[i + 2]
     feats = [
         "w0=" + tok,
-        "w-1=" + _token_at(tokens, i - 1),
-        "w-2=" + _token_at(tokens, i - 2),
-        "w+1=" + _token_at(tokens, i + 1),
-        "w+2=" + _token_at(tokens, i + 2),
+        "w-1=" + padded[i + 1],
+        "w-2=" + padded[i],
+        "w+1=" + padded[i + 3],
+        "w+2=" + padded[i + 4],
     ]
     for k in (1, 2, 3):
         if len(tok) >= k:
@@ -78,7 +69,8 @@ def sequence_features(
     """Tagger features of every position, scanning gazetteers once; their
     order and content are deterministic."""
     hits = gazetteer_hits(tokens, gazetteers)
-    return [_position_features(tokens, i, hits) for i in range(len(tokens))]
+    padded = (PAD_LEFT, PAD_LEFT, *tokens, PAD_RIGHT, PAD_RIGHT)
+    return [_position_features(padded, i, hits) for i in range(len(tokens))]
 
 
 def intent_features(

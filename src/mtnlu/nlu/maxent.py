@@ -49,7 +49,7 @@ class MaxEntModel:
     def posterior(self, tokens: Sequence[str]) -> np.ndarray:
         """Softmax posterior over intents, aligned with `self.intents`."""
         ids = self.feature_ids(tokens)
-        logits = self.weights[ids].sum(axis=0) if ids.size else np.zeros(len(self.intents))
+        logits = self.weights[ids].sum(axis=0)
         p = np.exp(logits - logits.max())
         return p / p.sum()
 

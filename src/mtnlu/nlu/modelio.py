@@ -63,8 +63,12 @@ class CountMatrix:
                    shape: tuple[int, int]) -> "CountMatrix":
         """The matrix with a 1 at each (`row_ids[e]`, `cols[e]`); repeated
         entries add up."""
-        (rows, cols), count = np.unique(np.stack([row_ids, cols]), axis=1, return_counts=True)
-        return cls(rows, cols, count.astype(float), shape)
+        # one int key per entry, which sorts by row, then by column; sorted
+        # stably, as np.unique's quicksort adds about 0.3 MiB to the peak RSS
+        keys = np.sort(row_ids * shape[1] + cols, kind="stable")
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of a key starts
+        rows, cols = np.divmod(keys[first], shape[1])
+        return cls(rows, cols, np.diff(first, append=len(keys)).astype(float), shape)
 
     @property
     def T(self) -> "CountMatrix":

@@ -124,6 +124,9 @@ class BigramLM:
 
 PhraseOptions = tuple[tuple[tuple[str, ...], float], ...]
 
+# translation-model score of a source token that no phrase covers, copied as it is
+OOV_PENALTY = -10.0
+
 
 @dataclass
 class PhraseTableModel:
@@ -137,7 +140,6 @@ class PhraseTableModel:
     lm: BigramLM
     weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     max_jump: int = 2
-    oov_penalty: float = -10.0
     beam_size: int = 100
 
     def __post_init__(self):
@@ -223,7 +225,7 @@ def _span_options(tokens: Sequence[str], model: PhraseTableModel):
             if opts:
                 options[(i, j)] = opts
             elif j == i + 1:
-                options[(i, j)] = (((tokens[i],), model.oov_penalty),)
+                options[(i, j)] = (((tokens[i],), OOV_PENALTY),)
     return options
 
 

@@ -50,6 +50,8 @@ MUTANTS = [
     ("nlu/crf.py", "scale[t] >= _TINY", "scale[t] > 0"),
     # a repeated feature id counts once in the numpy design's products
     ("nlu/modelio.py", "column[self.cols] * self.count", "column[self.cols]"),
+    # the numpy design's entry keys do not tell a row from a column
+    ("nlu/modelio.py", "row_ids * shape[1] + cols", "row_ids + cols"),
     # small designs are scipy's CSR matrix and large ones numpy's
     ("nlu/modelio.py", "len(cols) < _CSR_MIN_ENTRIES", "len(cols) >= _CSR_MIN_ENTRIES"),
     # a small design stays numpy's after a large one has imported scipy

@@ -6,7 +6,7 @@ no shared code with the package internals beyond public score helpers.
 
 import itertools
 
-from mtnlu.translate import combined_score
+from mtnlu.translate import OOV_PENALTY, combined_score
 
 
 def enumerate_translation_candidates(tokens, model):
@@ -25,7 +25,7 @@ def enumerate_translation_candidates(tokens, model):
             if src in model.phrases:
                 options[(i, j)] = list(model.phrases[src])
             elif j == i + 1:
-                options[(i, j)] = [((tokens[i],), model.oov_penalty)]
+                options[(i, j)] = [((tokens[i],), OOV_PENALTY)]
 
     def compositions(start):
         if start == n:

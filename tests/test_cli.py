@@ -660,6 +660,28 @@ class TestSampleGrammar:
         assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
         assert not (tmp_path / "x.tsv").exists()
 
+    def test_a_negative_count_exits_one_naming_the_option(self, tmp_path, capsys):
+        paths = toytask.write_task_files(tmp_path)
+        argv = ["sample-grammar", "--grammar", paths["grammar_train"], "--count", "-1",
+                "--out", str(tmp_path / "x.tsv")]
+        for c in paths["source_catalogs"]:
+            argv += ["--catalog", c]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --count: must be >= 0, got -1\n")
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_a_grammar_without_templates_is_named_unless_nothing_is_drawn(self, tmp_path,
+                                                                          capsys):
+        grammar, out = tmp_path / "grammar.tsv", tmp_path / "x.tsv"
+        grammar.write_text("# no templates\n", encoding="utf-8")
+        argv = ["sample-grammar", "--grammar", str(grammar), "--out", str(out), "--count"]
+        assert main(argv + ["3"]) == 1
+        assert capsys.readouterr().err == "error: %s: the grammar has no templates\n" % grammar
+        assert not out.exists()
+        assert main(argv + ["0"]) == 0
+        assert capsys.readouterr().err == "" and load_corpus(out) == []
+
     def test_language_option_is_gone(self, tmp_path, capsys):
         paths = toytask.write_task_files(tmp_path)
         assert main(["sample-grammar", "--grammar", paths["grammar_train"], "--count", "5",

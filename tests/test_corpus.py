@@ -308,19 +308,26 @@ def test_non_finite_number_names_file_and_line(tmp_path, loader, first, line, ba
     assert (err.value.path, err.value.line_no, err.value.message) == (path, 3, message)
 
 
-# (loader, first line, a line with a number that Python's int or float would
-# read, the message for it)
-NOT_ASCII_DIGITS = [
-    (load_catalog, "#slot_type=City", "berlin\t0_5", "bad weight '0_5'"),
-    (load_catalog, "#slot_type=City", "berlin\t\u0661\u0662", "bad weight '\u0661\u0662'"),
-    (load_translations, "# translations", "u1\tc\t0-0_1\t0\t0\t0\t0\t0",
-     "bad alignment pair '0-0_1'"),
+# (id, loader, first line, a line that the format refuses, the message for
+# it); the first three hold a number that Python's int or float would read
+REFUSED_LINES = [
+    ("weight-underscore", load_catalog, "#slot_type=City", "berlin\t0_5", "bad weight '0_5'"),
+    ("weight-arabic-indic", load_catalog, "#slot_type=City", "berlin\t\u0661\u0662",
+     "bad weight '\u0661\u0662'"),
+    ("alignment-underscore", load_translations, "# translations",
+     "u1\tc\t0-0_1\t0\t0\t0\t0\t0", "bad alignment pair '0-0_1'"),
+    ("empty-phrase-side", load_phrase_table, "# phrases", "a ||| ||| -1", "empty phrase side"),
+    ("alignment-without-dash", load_translations, "# translations",
+     "u1\tc\t01\t0\t0\t0\t0\t0", "bad alignment pair '01'"),
+    ("catalog-entry-without-tokens", load_catalog, "#slot_type=City", "\t1.0",
+     "catalog entry must have at least one token"),
+    ("empty-grammar-pattern", load_grammar, "# grammar", "I\tD\t1\t", "empty grammar pattern"),
 ]
 
 
-@pytest.mark.parametrize("loader, first, bad, message", NOT_ASCII_DIGITS,
-                         ids=["weight-underscore", "weight-arabic-indic", "alignment-underscore"])
-def test_number_in_ascii_without_underscores(tmp_path, loader, first, bad, message):
+@pytest.mark.parametrize("loader, first, bad, message", [r[1:] for r in REFUSED_LINES],
+                         ids=[r[0] for r in REFUSED_LINES])
+def test_refused_line_names_file_and_line(tmp_path, loader, first, bad, message):
     path = tmp_path / "data.txt"
     path.write_text("%s\n%s\n" % (first, bad), encoding="utf-8")
     with pytest.raises(FormatError) as err:

@@ -4,6 +4,7 @@ the checks that a model file meets when it is loaded."""
 
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +128,43 @@ class TestCountMatrix:
         assert np.array_equal(D.T @ np.ones((2, 1)), [[1.0], [0.0], [3.0]])
 
 
+def test_toytask_designs_without_scipy_train_like_csr(monkeypatch):
+    # the tests import scipy at collection, so a model trained here gets CSR
+    # designs unless scipy.sparse is hidden, as it is from a small CLI run
+    corpus = toytask.sample_source(150, 3)
+    gazetteers = toytask.source_catalogs()
+    labels = crf.bio_labels(s.slot_type for u in corpus for s in u.slots)
+    intents = sorted({u.intent for u in corpus})
+
+    def designs():
+        crf_index, maxent_index = {}, {}
+        tagged = crf._Design([(u.tokens, crf.bio_encode(u)) for u in corpus], labels,
+                             crf_index, gazetteers, grow=True)
+        X, y = maxent._design([(u.tokens, u.intent) for u in corpus], intents, maxent_index,
+                              gazetteers, grow=True)
+        return tagged, X, y, len(crf_index), len(maxent_index)
+
+    with monkeypatch.context() as m:
+        m.delitem(sys.modules, "scipy.sparse")
+        numpy_crf, numpy_X, y, F, G = designs()
+    csr_crf, csr_X, *_ = designs()
+    assert type(numpy_crf.phi) is type(numpy_X) is modelio.CountMatrix
+    assert type(csr_crf.phi) is type(csr_X) is sparse.csr_matrix
+    gen = np.random.default_rng(31)
+    L, K = len(labels), len(intents)
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        em, tr = scale * gen.normal(size=(F, L)), scale * gen.normal(size=(L, L))
+        ours, theirs = numpy_crf.nll_and_grad(em, tr, 0.1), csr_crf.nll_and_grad(em, tr, 0.1)
+        assert ours[0] == theirs[0]
+        assert_same_bits(ours[1], theirs[1])
+        assert_same_bits(ours[2], theirs[2])
+        W = scale * gen.normal(size=(G, K))
+        ours, theirs = maxent._nll_and_grad(numpy_X, y, W, 0.1), \
+            maxent._nll_and_grad(csr_X, y, W, 0.1)
+        assert ours[0] == theirs[0]
+        assert_same_bits(ours[1], theirs[1])
+
+
 @pytest.fixture(scope="module")
 def trained_models(tmp_path_factory):
     _, out = toytask.train_model_pair(tmp_path_factory.mktemp("models"))
@@ -192,7 +230,8 @@ class TestGazetteerEntries:
     @pytest.mark.parametrize("field, bad, reason", [
         (0, [None], "tokens must be non-empty strings"),
         (1, -1.0, "catalog weight must be a finite non-negative number"),
-    ], ids=["null-token", "negative-weight"])
+        (0, [], "catalog entry must have at least one token"),
+    ], ids=["null-token", "negative-weight", "no-tokens"])
     def test_bad_entry_names_its_catalog_and_index(self, models, field, bad, reason):
         path = models / "crf_model.json"
         obj = json.loads(path.read_text(encoding="utf-8"))

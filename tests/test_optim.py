@@ -171,3 +171,14 @@ def test_a_long_minimize_does_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
     assert digests[0] == digests[1]
+
+
+def test_a_long_dot_adds_its_chunks_of_ten_thousand_left_to_right():
+    # the whole-vector BLAS dot rounds differently from this sum in most
+    # seeds, at any thread count, so the chunk order is checked on one CPU too
+    for seed in range(10):
+        gen = np.random.default_rng(seed)
+        a, b = gen.normal(size=25_001), gen.normal(size=25_001)
+        first, second, last = (float(a[i : i + 10_000] @ b[i : i + 10_000])
+                               for i in (0, 10_000, 20_000))
+        assert optim._dot(a, b) == (first + second) + last

@@ -10,6 +10,7 @@ from mtnlu.corpus import Utterance, make_span
 from mtnlu import translate
 from mtnlu.errors import FormatError
 from mtnlu.translate import (
+    OOV_PENALTY,
     OVERLAP,
     UNALIGNED_SLOT,
     BigramLM,
@@ -113,7 +114,7 @@ class TestDecode:
         model = toy_model()
         r = decode(["zzz"], model)
         assert r.target_tokens == ("zzz",)
-        assert r.scores.tm == model.oov_penalty == -10.0
+        assert r.scores.tm == OOV_PENALTY == -10.0
 
     def test_zero_weights_scores_zero(self):
         model = toy_model(weights=(0.0, 0.0, 0.0, 0.0))
